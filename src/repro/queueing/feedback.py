@@ -96,9 +96,8 @@ def effective_arrival_rates(
     """Vectorized :func:`effective_arrival_rate` — one entry per request.
 
     The columnar form of Eq. (7)'s ingredients, ``lambda_r / P_r``;
-    the trace-driven simulation backend and its benchmarks use it to
-    size scenarios and cross-check measured utilizations against the
-    closed form.
+    the simulation benchmarks use it to size scenarios and cross-check
+    measured utilizations against the closed form.
     """
     lam = np.asarray(external_rates, dtype=np.float64)
     p = np.asarray(delivery_probabilities, dtype=np.float64)

@@ -1,13 +1,11 @@
 """Column-native trace simulation for million-request scenarios.
 
-The trace backend (:mod:`repro.sim.trace`) already replaced the event
-loop with array kernels, but its orchestration is per-request Python:
-one RNG spawn, one dict entry and one arrival array *per request*.  At
-1M requests that is minutes of setup for seconds of kernel time.  This
-backend keeps the same two-sweep structure — causal rounds × hop
-levels establishing when every packet reaches every instance, then one
-full-load measurement pass per instance — but works on whole-run
-packet columns:
+This is the production simulator: the same Poisson/FCFS/NACK model as
+the event engine (:mod:`repro.sim.simulator`, the oracle), replayed
+over whole-run packet columns instead of one event per packet.  The
+run has two sweeps — causal rounds x hop levels establishing when
+every packet reaches every instance, then one full-load measurement
+pass per instance:
 
 * arrivals are one vectorized draw: per-request Poisson *counts*, then
   uniform order statistics on ``[0, duration)`` (exactly the
@@ -15,12 +13,15 @@ packet columns:
 * each hop level is one ``(instance, time)`` lexsort plus one
   segmented Lindley pass (:func:`~repro.sim.kernels.segmented_lindley`)
   per instance shard at that level;
-* cross-pass backlog (the trace backend's departure frontier) is one
-  ``searchsorted`` per shard against its accumulated history, keyed by
+* cross-pass backlog (the departure frontier) is one ``searchsorted``
+  per shard against its accumulated history, keyed by
   ``instance * span + time``;
 * the measurement sweep is a lexsort + segmented Lindley per shard over
   every recorded (packet, hop, round) visit, merged back per packet in
   shard order.
+
+``ChainSimulator(..., backend="trace")`` serves object-API callers from
+this function (see docs/SIM_BACKENDS.md).
 
 Sharded execution (``jobs=N``)
 ------------------------------
@@ -44,11 +45,10 @@ with ``S`` shards, in order:
 * child ``2 + S + s`` — measurement services of shard ``s``.
 
 Each child seeds ONE generator consumed in deterministic (round,
-level, sorted-sub-batch) order within its owner — unlike the trace
-backend's per-request/per-instance spawns, so the two backends agree
-in distribution only (the same contract the trace backend has with the
-event engine; see docs/SCALE.md and docs/SIM_BACKENDS.md).  The layout
-depends on the shard *plan*, never on ``jobs``.
+level, sorted-sub-batch) order within its owner.  The streams differ
+from the event engine's single shared generator, so the two agree in
+distribution only (see docs/SCALE.md and docs/SIM_BACKENDS.md).  The
+layout depends on the shard *plan*, never on ``jobs``.
 """
 
 from __future__ import annotations
@@ -62,14 +62,18 @@ from repro.core.arrays import ScenarioArrays, ScheduleArrays
 from repro.exceptions import SimulationError
 from repro.sim.shard import (
     ScaleShardPlan,
-    _History,  # noqa: F401  (re-export; the frontier lived here pre-shard)
     merge_shard_measurements,
     open_shard_executor,
     partition_by_shard,
 )
-from repro.sim.trace import MAX_FEEDBACK_ROUNDS
 
 __all__ = ["ScaleShardPlan", "ScaleSimMetrics", "simulate_columns"]
+
+#: Hard cap on feedback rounds — each round thins by ``1 - P_r`` and
+#: re-entry times only grow toward the horizon, so hitting this means
+#: the configuration is pathological (e.g. ``P_r`` microscopically
+#: small at enormous load), not that the simulation is healthy.
+MAX_FEEDBACK_ROUNDS = 10_000
 
 
 @dataclass
@@ -97,6 +101,10 @@ class ScaleSimMetrics:
     instance_mean_sojourn: np.ndarray
     #: Per-instance busy fraction of ``[0, duration)``, clipped to 1.
     instance_utilization: np.ndarray
+    #: End-to-end latency of every counted delivery, grouped by request
+    #: in packet-creation order: request ``r`` owns ``delivered[r]``
+    #: consecutive entries (the samples behind ``latency_sum``).
+    latencies: np.ndarray
 
     @property
     def total_delivered(self) -> int:
@@ -205,6 +213,7 @@ def simulate_columns(
     delivered = np.zeros(num_requests, dtype=np.int64)
     retransmitted = np.zeros(num_requests, dtype=np.int64)
     latency_sum = np.zeros(num_requests, dtype=np.float64)
+    latencies = np.empty(0, dtype=np.float64)
     counted_pkts: List[np.ndarray] = []
 
     executor = open_shard_executor(
@@ -326,13 +335,15 @@ def simulate_columns(
     )
 
     # End-to-end latency of counted deliveries, summed per request.
+    # Packet ids run request-major in creation order, so sorting the
+    # counted ids groups the samples by request.
     if counted_pkts:
         c_pkt = np.concatenate(counted_pkts)
+        weights = sojourn_sums[c_pkt] + extra_delay[c_pkt]
         latency_sum = np.bincount(
-            pkt_req[c_pkt],
-            weights=sojourn_sums[c_pkt] + extra_delay[c_pkt],
-            minlength=num_requests,
+            pkt_req[c_pkt], weights=weights, minlength=num_requests
         )
+        latencies = weights[np.argsort(c_pkt, kind="stable")]
 
     return ScaleSimMetrics(
         duration=horizon,
@@ -344,4 +355,5 @@ def simulate_columns(
         instance_departures=inst_departures,
         instance_mean_sojourn=inst_sojourn,
         instance_utilization=utilization,
+        latencies=latencies,
     )

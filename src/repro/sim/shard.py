@@ -44,7 +44,8 @@ The process executor is used only when ``jobs >= 2``, the plan has at
 least two shards, and there is at least one packet to simulate.  When
 worker processes cannot start (no POSIX shared memory, seccomp
 sandboxes, a worker dying before its ready handshake) the engine
-degrades to the serial executor, which computes the identical result.
+degrades to the serial executor, which computes the identical result,
+and says so with a :class:`RuntimeWarning` naming the failure.
 Workers are spawn-safe: the worker entry point is a module-level
 function and every payload (handle, seed sequences, scratch name)
 pickles under any multiprocessing start method.
@@ -52,6 +53,7 @@ pickles under any multiprocessing start method.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -671,7 +673,8 @@ def open_shard_executor(
     (:func:`repro.experiments.montecarlo.resolve_jobs`); ``N >= 2``
     starts ``min(N, num_shards)`` workers.  Single-shard plans, empty
     runs and platforms where workers cannot start all fall back to the
-    serial executor, which computes the identical result.
+    serial executor, which computes the identical result; a failed
+    worker start is reported as a :class:`RuntimeWarning`.
     """
     from repro.experiments.montecarlo import resolve_jobs
 
@@ -695,8 +698,13 @@ def open_shard_executor(
             PermissionError,
             ImportError,
             _WorkerStartupError,
-        ):
-            pass
+        ) as exc:
+            warnings.warn(
+                f"shard workers failed to start ({type(exc).__name__}: "
+                f"{exc}); simulating serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return _SerialShardExecutor(
         arrays, plan, horizon, sweep_seqs, measure_seqs, generated
     )

@@ -19,12 +19,13 @@ lengthens — the validation tests assert exactly this.
 Two interchangeable backends produce those statistics:
 
 * ``backend="events"`` (default) — the per-packet event loop below, the
-  reference implementation.
-* ``backend="trace"`` — :mod:`repro.sim.trace`, an array-native
-  replay over pre-sampled arrival/service traces (Lindley kernels)
-  that iterates over chain hops and feedback rounds, never packets.
-  Orders of magnitude faster at scale; agrees with the event backend
-  in distribution (see docs/SIM_BACKENDS.md for the parity contract).
+  reference implementation (the oracle).
+* ``backend="trace"`` — the column-native simulator
+  :func:`repro.sim.scale.simulate_columns`, which iterates over chain
+  hops and feedback rounds, never packets, repackaged into the same
+  :class:`SimulationMetrics`.  Orders of magnitude faster at scale;
+  agrees with the event backend in distribution (see
+  docs/SIM_BACKENDS.md for the parity contract).
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class ChainSimulator:
         Run-control parameters.
     backend:
         ``"events"`` for the per-packet event loop (the reference
-        implementation) or ``"trace"`` for the array-native Lindley
-        replay of :mod:`repro.sim.trace`.
+        implementation) or ``"trace"`` for the column-native Lindley
+        replay of :func:`repro.sim.scale.simulate_columns`.
     """
 
     def __init__(
@@ -140,16 +141,7 @@ class ChainSimulator:
     def run(self) -> SimulationMetrics:
         """Execute one simulation run and return measured statistics."""
         if self._backend == "trace":
-            # Imported lazily: trace.py itself imports SimulationConfig
-            # from this module.
-            from repro.sim.trace import run_trace_simulation
-
-            return run_trace_simulation(
-                list(self._vnfs.values()),
-                list(self._requests.values()),
-                self._schedule,
-                self._config,
-            )
+            return self._run_columns()
         cfg = self._config
         engine = SimulationEngine()
         rng = np.random.default_rng(cfg.seed)
@@ -236,4 +228,40 @@ class ChainSimulator:
             end_to_end=end_to_end,
             retransmitted=retransmitted,
             generated=sum(s.generated for s in sources),
+        )
+
+    def _run_columns(self) -> SimulationMetrics:
+        """``backend="trace"``: one :func:`simulate_columns` run,
+        repackaged as :class:`SimulationMetrics`."""
+        # Imported lazily: scale.py reads SimulationConfig from here.
+        from repro.core.arrays import ScenarioArrays
+        from repro.sim.scale import simulate_columns
+
+        vnfs = list(self._vnfs.values())
+        arrays = ScenarioArrays.build(vnfs, list(self._requests.values()), {})
+        # Chain pairs only: like the event loop, ignore other entries.
+        chain_schedule = {
+            (rid, name): self._schedule[(rid, name)]
+            for rid, request in self._requests.items()
+            for name in request.chain
+        }
+        m = simulate_columns(
+            arrays, arrays.schedule_arrays(chain_schedule), self._config
+        )
+        keys = [(f.name, k) for f in vnfs for k in range(f.num_instances)]
+        stats = zip(
+            m.instance_arrivals.tolist(),
+            m.instance_departures.tolist(),
+            m.instance_mean_sojourn.tolist(),
+            m.instance_utilization.tolist(),
+        )
+        rids = arrays.request_ids
+        latencies = np.split(m.latencies, np.cumsum(m.delivered)[:-1])
+        return SimulationMetrics(
+            duration=m.duration,
+            instances=[InstanceStats(key, *s) for key, s in zip(keys, stats)],
+            delivered=dict(zip(rids, m.delivered.tolist())),
+            end_to_end={rid: x.tolist() for rid, x in zip(rids, latencies)},
+            retransmitted=dict(zip(rids, m.retransmitted.tolist())),
+            generated=m.generated,
         )

@@ -16,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.seeding import DEFAULT_SEED
+from repro.sim import shard
 from repro.sim.scale import simulate_columns
 from repro.sim.shard import (
     DEFAULT_NUM_SHARDS,
     ScaleShardPlan,
     _SerialShardExecutor,
     _ShardMeasure,
+    _WorkerStartupError,
     merge_shard_measurements,
     open_shard_executor,
     partition_by_shard,
@@ -41,6 +43,7 @@ METRIC_FIELDS = (
     "instance_departures",
     "instance_mean_sojourn",
     "instance_utilization",
+    "latencies",
 )
 
 
@@ -199,6 +202,31 @@ class TestSerialFallback:
             generated=0,
             jobs=4,
         )
+        try:
+            assert isinstance(ex, _SerialShardExecutor)
+        finally:
+            ex.close()
+
+    def test_worker_startup_failure_warns_and_runs_serially(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise _WorkerStartupError("shard worker exited before ready")
+
+        monkeypatch.setattr(shard, "_ProcessShardExecutor", refuse)
+        arrays, sched = build_case(7, num_requests=60)
+        plan = ScaleShardPlan.build(arrays, sched)
+        seqs = np.random.SeedSequence(0).spawn(2 * plan.num_shards)
+        with pytest.warns(RuntimeWarning, match="_WorkerStartupError"):
+            ex = open_shard_executor(
+                arrays,
+                plan,
+                1.0,
+                seqs[: plan.num_shards],
+                seqs[plan.num_shards:],
+                generated=100,
+                jobs=2,
+            )
         try:
             assert isinstance(ex, _SerialShardExecutor)
         finally:

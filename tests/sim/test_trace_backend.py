@@ -1,5 +1,8 @@
 """The trace backend: analytic convergence, parity with events, edges.
 
+``backend="trace"`` is served by the column-native simulator
+(:func:`repro.sim.scale.simulate_columns`).
+
 Three layers of evidence, mirroring docs/SIM_BACKENDS.md:
 
 * the trace backend passes the same Jackson-convergence checks (same
@@ -15,12 +18,14 @@ Three layers of evidence, mirroring docs/SIM_BACKENDS.md:
 import numpy as np
 import pytest
 
+from repro.core.arrays import ScenarioArrays
 from repro.exceptions import ValidationError
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
 from repro.queueing.jackson import ChainFeedbackModel
 from repro.queueing.mm1 import MM1Queue
+from repro.sim.scale import simulate_columns
 from repro.sim.simulator import BACKENDS, ChainSimulator, SimulationConfig
 
 LONG = SimulationConfig(duration=2000.0, warmup=200.0, seed=123)
@@ -216,3 +221,27 @@ class TestBackendPlumbing:
             vnfs, requests, schedule, cfg, backend="trace"
         ).run()
         assert tr.generated == pytest.approx(ev.generated, rel=0.10)
+
+    def test_trace_end_to_end_is_the_column_latencies(self):
+        # backend="trace" repackages simulate_columns: each request's
+        # latency list holds exactly its counted deliveries and sums
+        # to the column run's latency_sum.  Loss makes retried packets
+        # deliver in later rounds, out of packet-id order.
+        vnfs, _, schedule = _shared_scenario()
+        chain = ServiceChain(["fw"])
+        requests = [
+            Request("a", chain, 30.0, delivery_probability=0.8),
+            Request("b", chain, 40.0, delivery_probability=0.8),
+        ]
+        cfg = SimulationConfig(duration=100.0, warmup=10.0, seed=42)
+        tr = ChainSimulator(
+            vnfs, requests, schedule, cfg, backend="trace"
+        ).run()
+        arrays = ScenarioArrays.build(vnfs, requests, {})
+        cols = simulate_columns(arrays, arrays.schedule_arrays(schedule), cfg)
+        for r, rid in enumerate(arrays.request_ids):
+            assert len(tr.end_to_end[rid]) == tr.delivered[rid]
+            assert tr.delivered[rid] == cols.delivered[r]
+            assert sum(tr.end_to_end[rid]) == pytest.approx(
+                cols.latency_sum[r], rel=1e-12
+            )
