@@ -11,8 +11,8 @@ legacy paths produce byte-identical solutions, then times both:
   kernel vs tuple partitions) on the full request-rate vector,
 * ``local_search_refine`` — relocate hill climb (neighbor-count delta
   kernel vs full hop recount per candidate),
-* ``swap_refine`` — move/swap makespan refinement (broadcast candidate
-  grid vs per-candidate scan).
+* ``swap_refine`` — move/swap makespan refinement (threshold selection
+  over sorted partner rates vs per-candidate scan).
 
 Usage::
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -200,6 +201,7 @@ def main(argv=None):
             "bfdsu_iterations": kernel_bfdsu.iterations,
             "seed": args.seed,
             "quick": args.quick,
+            "cpu_count": os.cpu_count(),
         },
         "results": results,
     }

@@ -36,6 +36,8 @@ def distill(report: dict) -> dict:
         "scenario": " / ".join(parts) or "(unknown)",
         "speedups": speedups,
     }
+    if "cpu_count" in scenario:
+        entry["cpu_count"] = scenario["cpu_count"]
     # Macro benchmarks report absolute headline numbers instead of
     # speedups — pipeline requests/s and peak RSS (bench_scale),
     # recovery latency and eviction throughput (bench_faults).

@@ -14,25 +14,56 @@ rate — the quantity Eq. (12) says dominates the worst ``W(f,k)``).
 refinement, giving an anytime upgrade path between RCKK and the exact
 search.
 
-Vectorized candidate scan
--------------------------
-The legacy scan evaluated each (item, target[, partner]) candidate with
-a fresh ``max`` over all way sums.  The kernel computes every
-candidate's post-move makespan in one shot: with ``o(t)`` = the largest
-sum over ways other than ``worst`` and ``t`` (two-argmax trick), a move
-of rate ``r`` to ``t`` yields ``max(o(t), makespan - r, sums[t] + r)``
-and a swap with partner rate ``s`` yields
-``max(o(t), makespan + (s - r), sums[t] + (r - s))`` — each one numpy
-broadcast over the full candidate grid, laid out in the exact legacy
-enumeration order.  The legacy acceptance rule
-(``delta > best + 1e-12``, best updated on accept) only ever accepts
-strict prefix-maximum record breakers, so the kernel extracts the
-record breakers with a ``maximum.accumulate`` prefix scan and replays
-the margin rule on that short list — selecting the identical candidate,
-hence the identical move sequence and final assignment.  The legacy
-scan survives as ``reference_refine_assignment`` in
-``benchmarks/_reference_impl.py``, pinned by
-``tests/core/test_solver_kernel_parity.py``.
+Threshold candidate selection
+-----------------------------
+The legacy scan visits every candidate of a round in a fixed order:
+each item ``r`` of the worst way (member-list order), each target way
+``t`` (ascending), the move ``r -> t`` and then every swap with a
+partner ``s < r`` of ``t`` (member-list order).  It accepts a candidate
+when ``delta > best + 1e-12`` (``best`` starts at 0 and becomes the
+accepted delta); the last accepted candidate is applied.  With ``o(t)``
+the largest sum over the ways other than ``worst`` and ``t``, a move's
+delta is ``makespan - max(o(t), makespan - r, sums[t] + r)`` and a
+swap's is ``makespan - max(o(t), makespan + (s - r), sums[t] + (r - s))``.
+
+Up to rounding, a delta is a *tent* in ``d`` (``d = r`` for a move,
+``d = r - s`` for a swap): ``min(cap_t, d, gap_t - d)`` with
+``cap_t = makespan - o(t)`` and ``gap_t = makespan - sums[t]``.  In
+float arithmetic the three terms are still monotone in ``s`` (rounding
+is monotone), so for one item and one target the swaps whose delta
+exceeds a level form a contiguous range of the target's partners sorted
+by rate.  :meth:`_Round.above` finds that range's ends exactly, by
+checking a ``searchsorted`` guess against the float expressions
+themselves and bisecting where the guess is wrong; no candidate grid
+is built.
+
+**Threshold lemma.**  Let ``T >= 1e-12`` and let ``w`` be the first
+candidate in legacy order whose delta exceeds ``T``.  ``w`` is the
+legacy winner if (a) no candidate's delta lies in ``(T - 1e-12, T]``
+and (b) no candidate's delta exceeds ``delta_w + 1e-12``.  By (a),
+every delta before ``w`` is at most ``T - 1e-12``, so ``best + 1e-12``
+stays at most ``T`` and ``w`` is accepted; by (b), nothing after ``w``
+clears ``best + 1e-12`` again.
+
+Each round therefore estimates the round maximum ``V`` from each
+item/target pair's move and its two partners nearest the tent's peak
+(``s = r - gap_t / 2``), sets ``T`` half a margin below ``V``, counts
+the candidates above ``T`` and above the bottom of the band, and takes
+``w`` from the first pair (in legacy order) with one: its move, else
+its first partner in member-list order.  Ties at the maximum — the
+least-loaded start leaves thousands per round, all equal to ``cap_t`` —
+cost a count, not an enumeration.
+
+**Exact fallback.**  When ``T < 1e-12`` (nothing, or too little,
+improves) or a check fails, :func:`_enumerated_winner` lists every
+candidate whose delta exceeds ``1e-12``, in legacy order, and replays
+the margin rule on them with
+:func:`~repro.core.deltas.select_improving_record_breaker`.  A
+candidate at or below the margin is never accepted, so leaving it out
+changes nothing.  The legacy scan survives as
+``reference_refine_assignment`` in ``benchmarks/_reference_impl.py``,
+the oracle of ``tests/core/test_solver_kernel_parity.py`` and
+``tests/scheduling/test_swap_refine.py``.
 """
 
 from __future__ import annotations
@@ -53,6 +84,280 @@ from repro.scheduling.base import (
 from repro.scheduling.rckk import RCKKScheduler
 
 
+#: The legacy acceptance margin: a candidate wins over the incumbent
+#: only when ``delta > best + _MARGIN``, with ``best`` starting at 0.
+_MARGIN = 1e-12
+
+
+def _checked_inputs(rates, assignment, num_ways: int):
+    """``(rates, ways)`` as float64 and int64 arrays, after validating
+    the refine inputs."""
+    if num_ways < 1:
+        raise ValidationError(f"num_ways must be >= 1, got {num_ways!r}")
+    rates_arr = np.asarray(rates, dtype=np.float64)
+    if rates_arr.ndim != 1 or len(rates_arr) != len(assignment):
+        raise ValidationError(
+            f"rates has shape {rates_arr.shape} but assignment has "
+            f"{len(assignment)} items"
+        )
+    if not np.isfinite(rates_arr).all():
+        raise ValidationError("rates must be finite")
+    ways = np.asarray(assignment)
+    if len(ways) and (
+        not np.issubdtype(ways.dtype, np.integer)
+        or ways.min() < 0
+        or ways.max() >= num_ways
+    ):
+        raise ValidationError(
+            f"assignment must hold integer ways in [0, {num_ways})"
+        )
+    return rates_arr, ways.astype(np.int64)
+
+
+class _SortedWays:
+    """Every way's member rates in ascending order, in one search key.
+
+    Segment ``w`` of :attr:`key` holds ``w + 1j*rate`` for way ``w``'s
+    members in ascending rate order, padded with ``w + 1j*inf``.  numpy
+    orders complex numbers by real part, then imaginary part, so the
+    whole key is sorted and one ``searchsorted`` call locates a value
+    in any number of ways at once.  :attr:`pos` holds each sorted rate's
+    index in its way's member list.  A round changes two ways, and only
+    their segments are re-sorted.
+    """
+
+    def __init__(self, rates: np.ndarray, members: List[List[int]], spare: int):
+        self.rates = rates
+        # A way gains at most one member per round: ``spare`` rounds of
+        # room plus one padding slot, so position ``count`` is readable.
+        caps = np.asarray([len(m) + spare + 1 for m in members], dtype=np.int64)
+        self.stop = np.cumsum(caps)
+        self.start = self.stop - caps
+        self.count = np.zeros(len(members), dtype=np.int64)
+        self.key = np.empty(int(self.stop[-1]), dtype=np.complex128)
+        self.key.real = np.repeat(np.arange(len(members)), caps)
+        self.rate = self.key.imag
+        self.pos = np.zeros(len(self.key), dtype=np.int64)
+        for way, items in enumerate(members):
+            self.refresh(way, items)
+
+    def refresh(self, way: int, items: List[int]) -> None:
+        lo, n = int(self.start[way]), len(items)
+        vals = self.rates[items]
+        order = np.argsort(vals, kind="stable")
+        self.rate[lo : lo + n] = vals[order]
+        self.rate[lo + n : self.stop[way]] = np.inf
+        self.pos[lo : lo + n] = order
+        self.count[way] = n
+
+
+class _Round:
+    """One round's candidates, grouped by *pair* (worst-way item, target).
+
+    Pairs are laid out target-major over the worst way's items in
+    ascending rate order, so every search over them queries sorted
+    values.  ``rank`` orders the pairs as the legacy scan does: by the
+    item's position in the worst way's member list, then by target.
+    """
+
+    def __init__(self, ways: _SortedWays, sums: List[float], worst: int):
+        S = np.asarray(sums, dtype=np.float64)
+        self.makespan = S[worst]
+        targets = np.delete(np.arange(len(S)), worst)
+        # o[t] = max sum over ways other than worst and t, via the
+        # top-two of the sums with worst masked out.
+        E = S.copy()
+        E[worst] = -np.inf
+        i1 = int(np.argmax(E))
+        top1 = E[i1]
+        E[i1] = -np.inf
+        o = np.where(targets == i1, E.max(), top1)
+        lo = int(ways.start[worst])
+        self.nr = nr = int(ways.count[worst])
+        nt = len(targets)
+        tpos = np.repeat(np.arange(nt), nr)
+        self.ways = ways
+        self.r = np.tile(ways.rate[lo : lo + nr], nt)
+        self.o = o[tpos]
+        self.st = S[targets][tpos]
+        self.way = targets[tpos]
+        self.base = ways.start[self.way]
+        self.hi = ways.count[self.way]
+        self.cap = self.makespan - self.o
+        # The legacy move expression, term by term.
+        self.move = self.makespan - np.maximum(
+            self.o, np.maximum(self.makespan - self.r, self.st + self.r)
+        )
+        self.rank = np.tile(ways.pos[lo : lo + nr], nt) * nt + tpos
+
+    def locate(self, values: np.ndarray, side: str = "left") -> np.ndarray:
+        """Per pair, the insertion point of ``values`` in its target's
+        sorted rates."""
+        q = np.empty(len(values), dtype=np.complex128)
+        q.real = self.way
+        q.imag = values
+        return np.searchsorted(self.ways.key, q, side=side) - self.base
+
+    def rate_at(self, i, p):
+        return self.ways.rate[self.base[i] + p]
+
+    def swap_delta(self, i, p):
+        """Pair ``i``'s swap with sorted partner ``p``: the legacy swap
+        expression, term by term."""
+        M, r, s = self.makespan, self.r[i], self.rate_at(i, p)
+        return M - np.maximum(
+            self.o[i], np.maximum(M + (s - r), self.st[i] + (r - s))
+        )
+
+    def threshold(self) -> float:
+        """``T``: half a margin below the estimated round maximum (one
+        float below it where half a margin is under its spacing).
+
+        The estimate is the best of each pair's move and its two
+        partners nearest the tent's peak, ``s = r - gap/2``; it only
+        has to be close, as the checks of the threshold lemma decide.
+        """
+        pairs = np.arange(len(self.r))
+        peak = self.locate(self.r - 0.5 * (self.makespan - self.st))
+        V = self.move.max()
+        for p in (peak - 1, peak):
+            k = pairs[(p >= 0) & (p < self.hi)]
+            k = k[self.rate_at(k, p[k]) < self.r[k]]
+            if len(k):
+                V = max(V, self.swap_delta(k, p[k]).max())
+        T = V - _MARGIN / 2
+        return T if T < V else np.nextafter(V, -np.inf)
+
+    def guesses(self, level: float):
+        """Approximate ends of each pair's swaps above ``level``."""
+        return (
+            self.locate(self.r - (self.makespan - self.st) + level, "right"),
+            self.locate(self.r - level),
+        )
+
+    def above(self, level: float, i, lo, hi, guess_a, guess_b):
+        """Per pair ``i``, the sorted-partner range ``[a, b)`` within
+        ``[lo, hi)`` of the swaps whose delta exceeds ``level``.
+
+        A swap's delta is the minimum of three terms: ``cap``,
+        ``makespan - (makespan + (s - r))``, which falls as ``s`` grows,
+        and ``makespan - (st + (r - s))``, which rises; and a swap needs
+        ``s < r``.  Float rounding is monotone, so each condition holds
+        on a prefix or a suffix of the sorted partners and the range is
+        contiguous.  The guesses only set the speed.
+        """
+        M = self.makespan
+
+        def low_gain(k, p):
+            return M - (self.st[k] + (self.r[k] - self.rate_at(k, p))) <= level
+
+        def legal(k, p):
+            s = self.rate_at(k, p)
+            return (s < self.r[k]) & (M - (M + (s - self.r[k])) > level)
+
+        a = _first_false(low_gain, i, guess_a, lo, hi)
+        b = _first_false(legal, i, guess_b, lo, hi)
+        return a, np.where(self.cap[i] > level, np.maximum(a, b), a)
+
+
+def _first_false(keep, i, guess, lo, hi) -> np.ndarray:
+    """Per pair ``i``, the first position in ``[lo, hi)`` at which the
+    prefix predicate ``keep(pairs, positions)`` fails (``hi`` if none).
+
+    A guess is kept where ``keep`` holds just before it and fails at it;
+    the other pairs are bisected.
+    """
+    g = np.clip(guess, lo, hi)
+    wrong = np.zeros(len(g), dtype=bool)
+    m = g > lo
+    wrong[m] = ~keep(i[m], g[m] - 1)
+    m = g < hi
+    wrong[m] |= keep(i[m], g[m])
+    if wrong.any():
+        w = np.flatnonzero(wrong)
+        k, left, right = i[w], lo[w], hi[w]
+        active = left < right
+        while active.any():
+            mid = (left + right) >> 1
+            ok = keep(k, mid)
+            left = np.where(active & ok, mid + 1, left)
+            right = np.where(active & ~ok, mid, right)
+            active = left < right
+        g[w] = left
+    return g
+
+
+def _round_winner(rnd: _Round) -> Optional[Tuple[int, int]]:
+    """The legacy scan's winner as ``(pair, sorted partner position)``,
+    the position ``-1`` for a move, or ``None`` when nothing improves.
+
+    The threshold lemma of the module docstring, with the exact
+    enumeration of :func:`_enumerated_winner` when a check fails.
+    """
+    n = len(rnd.r)
+    pairs = np.arange(n)
+    T = rnd.threshold()
+    if not T >= _MARGIN:
+        return _enumerated_winner(rnd)
+    band = np.nextafter(T - _MARGIN, -np.inf)
+    ga, gb = rnd.guesses(T)
+    a, b = rnd.above(band, pairs, np.zeros(n, dtype=np.int64), rnd.hi, ga, gb)
+    aT, bT = rnd.above(T, pairs, a, b, ga, gb)
+    # (a): no candidate in (T - margin, T].
+    if np.count_nonzero(rnd.move > band) + int((b - a).sum()) != (
+        np.count_nonzero(rnd.move > T) + int((bT - aT).sum())
+    ):
+        return _enumerated_winner(rnd)
+    # The first candidate above T in legacy order: first pair, and in
+    # it the move, else the first partner in member-list order.
+    hit = np.flatnonzero((rnd.move > T) | (bT > aT))
+    i = int(hit[np.argmin(rnd.rank[hit])])
+    if rnd.move[i] > T:
+        pick, x = -1, rnd.move[i]
+    else:
+        lo = int(rnd.base[i])
+        first = np.argmin(rnd.ways.pos[lo + aT[i] : lo + bT[i]])
+        pick = int(aT[i] + first)
+        x = rnd.swap_delta(i, pick)
+    # (b): no candidate above x + margin.
+    top = x + _MARGIN
+    ah, bh = rnd.above(top, hit, aT[hit], bT[hit], ga[hit], gb[hit])
+    if (rnd.move > top).any() or (bh > ah).any():
+        return _enumerated_winner(rnd)
+    return i, pick
+
+
+def _enumerated_winner(rnd: _Round) -> Optional[Tuple[int, int]]:
+    """Exact fallback: the legacy margin rule replayed on every candidate
+    above the margin, in legacy order.  A candidate at or below the
+    margin can never be accepted, so leaving it out changes nothing."""
+    n = len(rnd.r)
+    pairs = np.arange(n)
+    a, b = rnd.above(
+        _MARGIN, pairs, np.zeros(n, dtype=np.int64), rnd.hi,
+        *rnd.guesses(_MARGIN),
+    )
+    moves = np.flatnonzero(rnd.move > _MARGIN)
+    width = b - a
+    swaps = np.repeat(pairs, width)
+    if not len(moves) and not len(swaps):
+        return None
+    sp = np.arange(len(swaps)) - np.repeat(np.cumsum(width) - width, width)
+    sp += a[swaps]
+    pair = np.concatenate((moves, swaps))
+    spos = np.concatenate((np.full(len(moves), -1), sp))
+    listpos = np.concatenate(
+        (np.full(len(moves), -1), rnd.ways.pos[rnd.base[swaps] + sp])
+    )
+    delta = np.concatenate((rnd.move[moves], rnd.swap_delta(swaps, sp)))
+    order = np.lexsort((listpos, rnd.rank[pair]))
+    sel = select_improving_record_breaker(delta[order])
+    if sel < 0:
+        return None
+    c = order[sel]
+    return int(pair[c]), int(spos[c])
+
+
 def refine_assignment(
     rates: List[float],
     assignment: List[int],
@@ -64,12 +369,13 @@ def refine_assignment(
     Parameters
     ----------
     rates:
-        Per-item values (request effective rates).
+        Per-item values (request effective rates), finite; widened to
+        float64 before any way sum accumulates.
     assignment:
-        Item -> way indices; modified copies are returned, the input is
-        untouched.
+        Item -> way indices in ``[0, num_ways)``; modified copies are
+        returned, the input is untouched.
     num_ways:
-        Number of ways (instances).
+        Number of ways (instances), at least 1.
     max_rounds:
         Bound on improvement rounds.
 
@@ -77,101 +383,49 @@ def refine_assignment(
     -------
     (assignment, moves)
         The refined assignment and the number of accepted moves.
+
+    Raises
+    ------
+    ValidationError
+        On ``max_rounds < 1``, ``num_ways < 1``, rates and assignment of
+        different lengths, non-finite rates or a way outside
+        ``[0, num_ways)``.
     """
     if max_rounds < 1:
         raise ValidationError(f"max_rounds must be >= 1, got {max_rounds!r}")
+    rates_arr, way_arr = _checked_inputs(rates, assignment, num_ways)
+    rates = rates_arr.tolist()
     current = list(assignment)
     # Way sums stay an incrementally-updated Python float list with the
-    # legacy update expressions, so accumulated rounding is identical.
-    sums = [0.0] * num_ways
-    members: List[List[int]] = [[] for _ in range(num_ways)]
-    for idx, way in enumerate(current):
-        sums[way] += rates[idx]
-        members[way].append(idx)
-    rates_arr = np.asarray(rates, dtype=np.float64)
+    # legacy update expressions, so accumulated rounding is identical;
+    # bincount adds each way's rates in item order, as the legacy loop.
+    sums = np.bincount(way_arr, weights=rates_arr, minlength=num_ways).tolist()
+    order = np.argsort(way_arr, kind="stable")
+    split = np.cumsum(np.bincount(way_arr, minlength=num_ways))[:-1]
+    members = [m.tolist() for m in np.split(order, split)]
+    ways = _SortedWays(rates_arr, members, spare=min(max_rounds, len(current)))
 
     moves = 0
     for _ in range(max_rounds):
         worst = max(range(num_ways), key=lambda w: sums[w])
-        makespan = sums[worst]
-        row_items = members[worst]
-        tlist = [t for t in range(num_ways) if t != worst]
-        if not row_items or not tlist:
+        if not members[worst] or num_ways < 2:
             break
-
-        # o[t] = max sum over ways other than worst and t, via the
-        # top-two of the sums with worst masked out.
-        S = np.asarray(sums, dtype=np.float64)
-        t_arr = np.asarray(tlist, dtype=np.int64)
-        E = S.copy()
-        E[worst] = -np.inf
-        i1 = int(np.argmax(E))
-        top1 = float(E[i1])
-        E[i1] = -np.inf
-        top2 = float(E.max())
-        o = np.where(t_arr == i1, top2, top1)
-
-        # Candidate grid layout: one row per item of the worst way, and
-        # per target t a column block [move, swap(j) for j in members[t]]
-        # — C-order ravel of the grid is the legacy enumeration order.
-        R = rates_arr[row_items]
-        lens = np.asarray([len(members[t]) for t in tlist], dtype=np.int64)
-        j_all = np.asarray(
-            [j for t in tlist for j in members[t]], dtype=np.int64
-        )
-        block_sizes = 1 + lens
-        L = int(block_sizes.sum())
-        col_tpos = np.repeat(np.arange(len(tlist)), block_sizes)
-        pos_move = np.concatenate(([0], np.cumsum(block_sizes)[:-1]))
-        pos_swap = np.delete(np.arange(L), pos_move)
-
-        # Move idx -> t: max(o, makespan - r, sums[t] + r).
-        move_new = np.maximum(
-            o[None, :],
-            np.maximum((makespan - R)[:, None], S[t_arr][None, :] + R[:, None]),
-        )
-        move_delta = makespan - move_new
-
-        flat = np.empty((len(row_items), L), dtype=np.float64)
-        flat[:, pos_move] = move_delta
-        if len(j_all):
-            # Swap idx <-> jdx: max(o, makespan + (s - r), sums[t] + (r - s)),
-            # grouped exactly like the legacy change dict (s - r first).
-            s = rates_arr[j_all]
-            tpos_j = np.repeat(np.arange(len(tlist)), lens)
-            swap_new = np.maximum(
-                o[tpos_j][None, :],
-                np.maximum(
-                    makespan + (s[None, :] - R[:, None]),
-                    S[t_arr[tpos_j]][None, :] + (R[:, None] - s[None, :]),
-                ),
-            )
-            # Swaps must shrink the worst way (s < r); others never
-            # existed in the legacy enumeration.
-            flat[:, pos_swap] = np.where(
-                s[None, :] < R[:, None], makespan - swap_new, -np.inf
-            )
-
-        # Accepted candidates under the sequential margin rule are all
-        # strict prefix-max record breakers; replay the rule on just the
-        # record breakers (identical winner, see module docstring).
-        sel = select_improving_record_breaker(flat.ravel())
-        if sel < 0:
+        rnd = _Round(ways, sums, worst)
+        win = _round_winner(rnd)
+        if win is None:
             break
-
-        col = sel % L
-        idx = row_items[sel // L]
-        target = tlist[int(col_tpos[col])]
-        swap_pos = int(np.searchsorted(pos_swap, col))
-        is_move = not (swap_pos < len(pos_swap) and pos_swap[swap_pos] == col)
-        if is_move:
+        pair, pick = win
+        row = int(ways.pos[ways.start[worst] + pair % rnd.nr])
+        idx = members[worst][row]
+        target = int(rnd.way[pair])
+        if pick < 0:
             members[worst].remove(idx)
             members[target].append(idx)
             sums[worst] -= rates[idx]
             sums[target] += rates[idx]
             current[idx] = target
         else:
-            jdx = int(j_all[swap_pos])
+            jdx = members[target][int(ways.pos[rnd.base[pair] + pick])]
             members[worst].remove(idx)
             members[target].remove(jdx)
             members[worst].append(jdx)
@@ -179,6 +433,8 @@ def refine_assignment(
             sums[worst] += rates[jdx] - rates[idx]
             sums[target] += rates[idx] - rates[jdx]
             current[idx], current[jdx] = target, worst
+        ways.refresh(worst, members[worst])
+        ways.refresh(target, members[target])
         moves += 1
     return current, moves
 

@@ -27,6 +27,7 @@ from _reference_impl import (  # noqa: E402
 )
 from bench_core import build_scenario  # noqa: E402
 from repro.core.arrays import ScheduleArrays  # noqa: E402
+from repro.core.dtypes import LEAN_POLICY  # noqa: E402
 from repro.core.local_search import (  # noqa: E402
     refine_placement,
     refine_placement_columns,
@@ -42,6 +43,7 @@ from repro.placement.base import PlacementProblem  # noqa: E402
 from repro.placement.bfdsu import BFDSUPlacement  # noqa: E402
 from repro.scheduling.swap_refine import refine_assignment  # noqa: E402
 from repro.seeding import DEFAULT_SEED, derive_seed  # noqa: E402
+from repro.workload import stream  # noqa: E402
 from repro.workload.generator import WorkloadGenerator  # noqa: E402
 
 SEEDS = [DEFAULT_SEED] + [
@@ -242,3 +244,54 @@ class TestLeanRefineParity:
         vec8 = np.zeros(len(arrays.vnf_names), dtype=np.int8)
         with pytest.raises(ValidationError):
             refine_placement_columns(arrays, vec8)
+
+
+@pytest.fixture(scope="module")
+def plan_shaped():
+    """A small scenario built with the calls the ``plan-200k`` benchmark
+    makes: lean streamed columns, rescaled to utilization 0.7, with the
+    least-loaded schedule that refine then polishes."""
+    scenario = stream.stream_scenario(
+        num_vnfs=12,
+        num_nodes=40,
+        num_requests=400,
+        rng=np.random.default_rng(derive_seed(DEFAULT_SEED, "plan-shaped")),
+        dtypes=LEAN_POLICY,
+    )
+    stream.rescale_to_stability(scenario, target=0.7)
+    arrays = scenario.arrays
+    return arrays, schedule_columns(arrays, policy="least_loaded")
+
+
+class TestPlanShapedRefineParity:
+    """``swap_refine_columns`` on a least-loaded LEAN start equals the
+    legacy scan run per VNF group."""
+
+    @pytest.mark.parametrize("rounds", [2, 20])
+    def test_matches_reference_per_group(self, plan_shaped, rounds):
+        arrays, sched = plan_shaped
+        refined, moves = swap_refine_columns(arrays, sched, max_rounds=rounds)
+
+        eff = arrays.eff_rate.astype(np.float64)
+        expected_k = sched.k.copy()
+        expected_moves = 0
+        for vnf in np.unique(sched.vnf):
+            rows = np.flatnonzero(sched.vnf == vnf)
+            num_ways = int(arrays.M_f[vnf])
+            if num_ways <= 1:
+                continue
+            ways, applied = reference_refine_assignment(
+                eff[sched.req[rows]].tolist(),
+                sched.k[rows].tolist(),
+                num_ways,
+                rounds,
+            )
+            expected_k[rows] = ways
+            expected_moves += applied
+
+        assert moves == expected_moves > 0
+        assert refined.k.dtype == sched.k.dtype == np.int32
+        np.testing.assert_array_equal(refined.k, expected_k)
+        np.testing.assert_array_equal(
+            refined.inst, arrays.instance_offset[sched.vnf] + expected_k
+        )
