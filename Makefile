@@ -51,6 +51,7 @@ ci: lint
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest -q perfbench/tests
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.runall --only fig05 --jobs 2 --seed 7
+	PYTHONPATH=src $(MAKE) examples
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_core.py --quick --out benchmarks/bench_core.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_solvers.py --quick --out benchmarks/bench_solvers.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_sim.py --quick --out benchmarks/bench_sim.json
@@ -60,7 +61,7 @@ ci: lint
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_faults.py --quick --max-p99-ms 2000 --out benchmarks/bench_faults.json
 
 examples:
-	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f; echo; done
+	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; echo; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis

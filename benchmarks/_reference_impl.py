@@ -6,7 +6,9 @@ the columnar :mod:`repro.core.arrays` refactor (see the git history of
 the old ``ServiceInstance.assign`` performed.  ``bench_core.py`` times
 them against the vectorized replacements and cross-checks parity; the
 property tests in ``tests/core/test_metric_parity.py`` hold the two
-paths within 1e-12 relative error.
+paths within 1e-12 relative error.  The per-request Router walk of the
+topology-aware Eq. (16) is the oracle ``bench_topo.py`` and
+``tests/core/test_topology_parity.py`` hold the matrix gather to.
 
 The second half of the module preserves the pre-kernel *solver* paths
 (legacy BFDSU, full-recount local search, per-candidate swap refine;
@@ -23,11 +25,14 @@ from typing import Dict, Hashable, List, Tuple
 
 from repro.core.admission import apply_admission_control
 from repro.core.evaluation import EvaluationReport
+from repro.core.objectives import per_request_response_time
+from repro.core.topology_eval import request_path_latency
 from repro.exceptions import SchedulingError, ValidationError
 from repro.nfv.instance import ServiceInstance
 from repro.nfv.state import DeploymentState
 from repro.scheduling.base import SchedulingProblem
 from repro.topology.graph import DEFAULT_LINK_LATENCY
+from repro.topology.routing import Router
 
 
 def reference_instances(state: DeploymentState) -> List[ServiceInstance]:
@@ -114,6 +119,25 @@ def reference_total_latency(
 def reference_total_inter_node_hops(state: DeploymentState) -> int:
     """Pre-refactor hop count: one chain walk per request."""
     return sum(state.inter_node_hops(r.request_id) for r in state.requests)
+
+
+def reference_total_latency_on_topology(state: DeploymentState, topology) -> float:
+    """Pre-gather topology Eq. (16): one Router walk per request.
+
+    The parity oracle of
+    :func:`repro.core.topology_eval.total_latency_on_topology` (same
+    ``inf`` rule for an unstable chain instance); expects placement
+    nodes that are compute nodes of ``topology``.
+    """
+    response = per_request_response_time(state)
+    router = Router(topology)
+    total = 0.0
+    for request in state.requests:
+        w = response[request.request_id]
+        if math.isinf(w):
+            return math.inf
+        total += w + request_path_latency(state, router, request.request_id)
+    return total
 
 
 def reference_evaluate_deployment(

@@ -4,7 +4,8 @@
 Builds one deterministic solved scenario and a random fabric whose
 compute nodes match the scenario's placement nodes, parity-checks the
 vectorized topology Eq. (16) (:func:`total_latency_on_topology`) against
-the per-request Router walk (``total_latency_on_topology_scalar``) at
+the per-request Router walk
+(``_reference_impl.reference_total_latency_on_topology``) at
 1e-9 relative, then times:
 
 * ``topology_total_latency`` — the Eq. (16) total with measured
@@ -41,11 +42,9 @@ except ImportError:  # pragma: no cover
 
 import numpy as np
 
+from _reference_impl import reference_total_latency_on_topology
 from bench_core import DEFAULT_SEED, _compare, _time, build_scenario
-from repro.core.topology_eval import (
-    total_latency_on_topology,
-    total_latency_on_topology_scalar,
-)
+from repro.core.topology_eval import total_latency_on_topology
 from repro.topology.arrays import TopologyArrays
 from repro.topology.network import NetworkModel
 from repro.topology.random_topology import random_datacenter
@@ -97,7 +96,7 @@ def main(argv=None):
     # Parity before timing: vectorized must match the Router walk.
     # ------------------------------------------------------------------
     vec = total_latency_on_topology(state, topo)
-    ref = total_latency_on_topology_scalar(state, topo)
+    ref = reference_total_latency_on_topology(state, topo)
     rel = abs(vec - ref) / max(abs(ref), 1e-30)
     if not rel <= 1e-9:
         raise SystemExit(
@@ -112,7 +111,7 @@ def main(argv=None):
     results = {}
     _compare(
         "topology_total_latency",
-        lambda: total_latency_on_topology_scalar(state, topo),
+        lambda: reference_total_latency_on_topology(state, topo),
         lambda: total_latency_on_topology(state, topo),
         repeats,
         results,

@@ -39,7 +39,9 @@ placement in place).  They are converted to index vectors per call:
 
 * :meth:`ScenarioArrays.placement_vector` is O(|F|) — cheap enough to
   rebuild on every metric evaluation, so placement mutation needs no
-  invalidation at all.
+  invalidation at all.  The object-layer metrics use its checked twin,
+  :meth:`ScenarioArrays.checked_placement_vector`, which raises
+  ``ValidationError`` on an unknown node or an unplaced chain VNF.
 * :meth:`ScenarioArrays.schedule_arrays` is O(|z|); owners that hold a
   schedule (``DeploymentState``) cache the result keyed on the dict's
   identity and length and expose ``invalidate_arrays()`` for the one
@@ -141,8 +143,9 @@ class ScenarioArrays:
     #: ``-1`` when the name is unknown).
     chain_names: Tuple[str, ...]
     #: True when some chain references a VNF name absent from ``vnfs``
-    #: (``chain_vnf`` holds ``-1`` there); vectorized consumers must
-    #: fall back to the scalar path so legacy errors are preserved.
+    #: (``chain_vnf`` holds ``-1`` there); the column kernels refuse
+    #: such scenarios and the object-layer metrics raise through
+    #: :meth:`checked_placement_vector`.
     chain_has_unknown: bool = False
 
     # --- inverted chain views (static, lazily built) -----------------
@@ -369,14 +372,57 @@ class ScenarioArrays:
         ------
         KeyError
             If some VNF is placed on a node absent from the capacity map
-            (callers fall back to the scalar path to surface the legacy
-            error for that case).
+            (:meth:`checked_placement_vector` raises a typed error
+            instead).
         """
         vec = np.empty(len(self.vnf_names), dtype=np.int64)
         node_index = self.node_index
         for i, name in enumerate(self.vnf_names):
             node = placement.get(name)
             vec[i] = -1 if node is None else node_index[node]
+        return vec
+
+    def checked_placement_vector(
+        self, placement: Mapping[str, Hashable]
+    ) -> np.ndarray:
+        """:meth:`placement_vector` for the object-layer metrics.
+
+        Unplaced VNFs still map to ``-1``, but every chain entry must
+        name a known, placed VNF, so the result indexes the chain CSR
+        without gaps.
+
+        Raises
+        ------
+        ValidationError
+            If some VNF is placed on a node absent from the capacity
+            map, or if a chain entry names an unknown or unplaced VNF
+            (the first such entry in chain-CSR order is reported, as
+            :meth:`DeploymentState.nodes_traversed
+            <repro.nfv.state.DeploymentState.nodes_traversed>` does).
+        """
+        vec = np.empty(len(self.vnf_names), dtype=np.int64)
+        node_index = self.node_index
+        for i, name in enumerate(self.vnf_names):
+            node = placement.get(name)
+            if node is None:
+                vec[i] = -1
+                continue
+            idx = node_index.get(node)
+            if idx is None:
+                raise ValidationError(
+                    f"VNF {name!r} placed at unknown node {node!r}"
+                )
+            vec[i] = idx
+        known = self.chain_vnf >= 0
+        missing = ~known
+        missing[known] = vec[self.chain_vnf[known]] < 0
+        if missing.any():
+            entry = int(np.argmax(missing))
+            request_id = self.request_ids[int(self.chain_req[entry])]
+            raise ValidationError(
+                f"request {request_id!r} uses unplaced VNF "
+                f"{self.chain_names[entry]!r}"
+            )
         return vec
 
     def schedule_arrays(

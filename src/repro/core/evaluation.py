@@ -9,13 +9,14 @@ evaluation section uses, in one pass:
 * the coordinated objective (Eq. 16) with link latency ``L``,
 * job rejection rate under admission control.
 
-The hot path runs on the state's cached columnar view
-(:mod:`repro.core.arrays`): instance rates, utilizations and the Eq. (12)
-response times are segment sums over the schedule's index arrays, and
-the Eq. (16) communication term is one pass over the chain CSR.  Only
-when admission control actually has to shed load does the evaluation
-drop to the per-object path, which models the greedy per-instance
-rejection exactly.
+The state is validated first, so a malformed placement or schedule
+raises ``ValidationError``.  The hot path is :func:`evaluate_columns`
+over the state's cached columnar view (:mod:`repro.core.arrays`):
+instance rates, utilizations and the Eq. (12) response times are segment
+sums over the schedule's index arrays, and the Eq. (16) communication
+term is one pass over the chain CSR.  Only when admission control
+actually has to shed load does the evaluation run the per-object path,
+which models the greedy per-instance rejection exactly.
 """
 
 from __future__ import annotations
@@ -60,12 +61,7 @@ class EvaluationReport:
 def _resource_occupation(state: DeploymentState) -> float:
     """Sum of ``A_v`` over nodes in service."""
     arrays = state.arrays()
-    try:
-        placement_vec = arrays.placement_vector(state.placement)
-    except KeyError:
-        return sum(
-            state.node_capacities[v] for v in state.nodes_in_service()
-        )
+    placement_vec = arrays.checked_placement_vector(state.placement)
     return float(arrays.A_v[arrays.used_node_mask(placement_vec)].sum())
 
 
@@ -99,9 +95,8 @@ def evaluate_deployment(
     state.validate()
     arrays = state.arrays()
     sched = state.schedule_arrays()
-    equivalent, external, counts = arrays.instance_rates(sched)
+    equivalent, _, counts = arrays.instance_rates(sched)
     serving = counts > 0
-    utilization = arrays.instance_utilizations(equivalent)
 
     if with_admission and bool(
         (equivalent[serving] > arrays.mu_inst[serving]
@@ -111,44 +106,12 @@ def evaluate_deployment(
         # policy is inherently sequential, so run the object path.
         return _evaluate_with_shedding(state, link_latency, topology)
 
-    max_util = (
-        float(utilization[serving].max()) if serving.any() else 0.0
-    )
-
-    if serving.any() and bool((utilization[serving] < 1.0).all()):
-        instance_w = arrays.instance_response_times(equivalent, external)
-        w = instance_w[serving]
-        avg_w = float(w.sum() / len(w))
-    else:
-        instance_w = None
-        avg_w = math.inf
-
-    if math.isfinite(avg_w):
-        response = arrays.response_per_request(sched, instance_w)
-        placement_vec = arrays.placement_vector(state.placement)
-        if topology is None:
-            hops = arrays.hops_per_request(placement_vec)
-            comm = hops * link_latency
-        else:
-            comm = arrays.topology_latency_per_request(
-                placement_vec, topology
-            )
-        total = float(np.sum(response + comm))
-        avg_total = total / len(state.requests) if state.requests else 0.0
-    else:
-        total = math.inf
-        avg_total = math.inf
-
-    return EvaluationReport(
-        average_node_utilization=state.average_node_utilization(),
-        nodes_in_service=state.total_nodes_in_service(),
-        resource_occupation=_resource_occupation(state),
-        average_response_latency=avg_w,
-        max_instance_utilization=max_util,
-        total_latency=total,
-        average_total_latency=avg_total,
-        num_rejected=0,
-        rejection_rate=0.0,
+    return evaluate_columns(
+        arrays,
+        arrays.checked_placement_vector(state.placement),
+        sched,
+        link_latency,
+        topology,
     )
 
 
@@ -263,10 +226,9 @@ def evaluate_columns(
     placement-vector, ScheduleArrays)`` triple without ever building a
     :class:`~repro.nfv.state.DeploymentState` (whose dict-shaped
     ``placement``/``schedule`` would cost more than the evaluation
-    itself at scale).  Matches ``evaluate_deployment(state,
-    with_admission=False)`` to float64 round-off on the same solution —
-    pinned by ``tests/core/test_dtypes.py`` and
-    ``tests/scheduling/test_schedule_columns.py``.  Admission control is not
+    itself at scale).  :func:`evaluate_deployment` runs this function
+    whenever no instance has to shed load, so the two agree exactly on
+    the same solution.  Admission control is not
     modeled here: callers arrange stability up front (e.g.
     :func:`repro.workload.stream.rescale_to_stability`), so the
     rejection metrics are reported as zero exactly as the

@@ -33,7 +33,10 @@ accumulation matches the legacy per-candidate sum bit for bit) makes
 the Eq. (6) fit check O(1) per candidate.  The move sequence and final
 report are identical to the full-recount hill climb, which is preserved
 as ``reference_refine_placement`` in ``benchmarks/_reference_impl.py``
-and pinned by ``tests/core/test_solver_kernel_parity.py``.
+and pinned by ``tests/core/test_solver_kernel_parity.py``.  The kernel
+is the only path: a state it cannot index (a node missing from the
+capacity map, an unknown or unplaced chain VNF) fails validation with
+``ValidationError`` before any move is scored.
 
 The primitives themselves — the relocate score kernel, the
 bandwidth-feasible target scan, the trial-commit swap — live in
@@ -81,23 +84,17 @@ def total_inter_node_hops(state: DeploymentState) -> int:
     """Sum of Eq. (16)'s hop counts over all requests.
 
     The count is one vectorized pass over the chain CSR (this is the
-    inner loop of every relocate-move evaluation); degenerate states —
-    an unplaced chain VNF, a node missing from the capacity map — fall
-    back to the per-request walk for its exact legacy errors.
+    inner loop of every relocate-move evaluation).
+
+    Raises
+    ------
+    ValidationError
+        On a node missing from the capacity map or a chain VNF that is
+        unknown or unplaced.
     """
     arrays = state.arrays()
-    if not arrays.chain_has_unknown:
-        try:
-            placement_vec = arrays.placement_vector(state.placement)
-        except KeyError:
-            placement_vec = None
-        if placement_vec is not None and not bool(
-            (placement_vec[arrays.chain_vnf] < 0).any()
-        ):
-            return int(arrays.hops_per_request(placement_vec).sum())
-    return sum(
-        state.inter_node_hops(r.request_id) for r in state.requests
-    )
+    placement_vec = arrays.checked_placement_vector(state.placement)
+    return int(arrays.hops_per_request(placement_vec).sum())
 
 
 def refine_placement(
@@ -140,27 +137,24 @@ def refine_placement(
     if max_rounds < 1:
         raise ValidationError(f"max_rounds must be >= 1, got {max_rounds!r}")
     state.validate()
-
-    # validate() guarantees every VNF is placed on a known node and
-    # every chain entry names a known VNF, so the delta kernel applies;
-    # the scalar hill climb stays as a defensive fallback for exotic
-    # states constructed around validation.
     arrays = state.arrays()
-    if not arrays.chain_has_unknown:
-        try:
-            placement_vec = arrays.placement_vector(state.placement)
-        except KeyError:
-            placement_vec = None
-        if placement_vec is not None and not bool((placement_vec < 0).any()):
-            return _refine_delta(
-                state, placement_vec, max_rounds, trace, network
+    placement_vec = arrays.checked_placement_vector(state.placement)
+    idx_trace: List[Tuple[int, int, int]] = []
+    report = refine_placement_columns(
+        arrays, placement_vec, max_rounds, idx_trace, network
+    )
+    for fi, source, target in idx_trace:
+        state.placement[arrays.vnf_names[fi]] = arrays.node_keys[target]
+        if trace is not None:
+            trace.append(
+                (
+                    arrays.vnf_names[fi],
+                    arrays.node_keys[source],
+                    arrays.node_keys[target],
+                )
             )
-    if network is not None:
-        raise ValidationError(
-            "bandwidth-aware refinement requires a fully placed state "
-            "with known chain VNFs"
-        )
-    return _refine_scalar(state, max_rounds, trace)
+    state.validate()
+    return report
 
 
 def refine_placement_columns(
@@ -270,80 +264,6 @@ def refine_placement_columns(
     )
 
 
-def _refine_delta(
-    state: DeploymentState,
-    placement_vec: np.ndarray,
-    max_rounds: int,
-    trace: Optional[List[Tuple[str, Hashable, Hashable]]],
-    network=None,
-) -> RefinementReport:
-    """Object-state wrapper around :func:`refine_placement_columns`."""
-    arrays = state.arrays()
-    idx_trace: List[Tuple[int, int, int]] = []
-    report = refine_placement_columns(
-        arrays, placement_vec, max_rounds, idx_trace, network
-    )
-    for fi, source, target in idx_trace:
-        state.placement[arrays.vnf_names[fi]] = arrays.node_keys[target]
-        if trace is not None:
-            trace.append(
-                (
-                    arrays.vnf_names[fi],
-                    arrays.node_keys[source],
-                    arrays.node_keys[target],
-                )
-            )
-    state.validate()
-    return report
-
-
-def _refine_scalar(
-    state: DeploymentState,
-    max_rounds: int,
-    trace: Optional[List[Tuple[str, Hashable, Hashable]]],
-) -> RefinementReport:
-    """Full-recount hill climb (fallback for degenerate states)."""
-    initial_hops = total_inter_node_hops(state)
-    current_hops = initial_hops
-    moves = 0
-
-    nodes = list(state.node_capacities.keys())
-    for _ in range(max_rounds):
-        improved_this_round = False
-        for vnf in state.vnfs:
-            source = state.placement[vnf.name]
-            best_target: Optional[Hashable] = None
-            best_hops = current_hops
-            for target in nodes:
-                if target == source:
-                    continue
-                if not _fits_after_move(state, vnf.name, target):
-                    continue
-                state.placement[vnf.name] = target
-                hops = total_inter_node_hops(state)
-                if hops < best_hops:
-                    best_hops = hops
-                    best_target = target
-                state.placement[vnf.name] = source
-            if best_target is not None:
-                state.placement[vnf.name] = best_target
-                current_hops = best_hops
-                moves += 1
-                improved_this_round = True
-                if trace is not None:
-                    trace.append((vnf.name, source, best_target))
-        if not improved_this_round:
-            break
-
-    state.validate()
-    return RefinementReport(
-        moves_applied=moves,
-        initial_hops=initial_hops,
-        final_hops=current_hops,
-        hops_saved=initial_hops - current_hops,
-    )
-
-
 @dataclass(frozen=True)
 class SwapReport:
     """Outcome of a placement-level swap pass."""
@@ -417,13 +337,7 @@ def swap_placement(
         raise ValidationError(f"max_rounds must be >= 1, got {max_rounds!r}")
     state.validate()
     arrays = state.arrays()
-    if arrays.chain_has_unknown:
-        raise ValidationError(
-            "swap_placement requires chains over known VNFs"
-        )
-    placement_vec = arrays.placement_vector(state.placement)
-    if bool((placement_vec < 0).any()):
-        raise ValidationError("swap_placement requires a full placement")
+    placement_vec = arrays.checked_placement_vector(state.placement)
 
     num_vnfs = len(arrays.vnf_names)
     num_nodes = len(arrays.node_keys)
@@ -525,18 +439,3 @@ def swap_placement(
         latency_saved=initial - final,
     )
 
-
-def _fits_after_move(
-    state: DeploymentState, vnf_name: str, target: Hashable
-) -> bool:
-    """Whether moving ``vnf_name`` to ``target`` respects Eq. (6)."""
-    vnf = state._vnf_by_name[vnf_name]
-    capacity = state.node_capacities.get(target)
-    if capacity is None:
-        return False
-    load = sum(
-        f.total_demand
-        for f in state.vnfs
-        if f.name != vnf_name and state.placement.get(f.name) == target
-    )
-    return load + vnf.total_demand <= capacity + 1e-9

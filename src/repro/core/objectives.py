@@ -9,9 +9,10 @@ These functions score a complete :class:`~repro.nfv.state.DeploymentState`:
   instance response times plus ``(sum_v eta_v^r - 1) * L`` link latency.
 
 All four run on the state's cached :class:`~repro.core.arrays.ScenarioArrays`
-(segment sums over instance/request columns); degenerate states — an
-unplaced chain VNF, a node missing from the capacity map — drop to the
-scalar walk so the legacy error surfaces unchanged.
+(segment sums over instance/request columns).  A malformed placement —
+a node missing from the capacity map, a chain VNF that is unknown or
+unplaced — raises ``ValidationError`` from
+:meth:`~repro.core.arrays.ScenarioArrays.checked_placement_vector`.
 """
 
 from __future__ import annotations
@@ -85,30 +86,18 @@ def total_latency(state: DeploymentState, link_latency: float) -> float:
         A complete, validated deployment.
     link_latency:
         The per-hop constant ``L`` (propagation + transmission).
+
+    Raises
+    ------
+    ValidationError
+        On a node missing from the capacity map or a chain VNF that is
+        unknown or unplaced.
     """
+    placement_vec = state.arrays().checked_placement_vector(state.placement)
     arrays, sched, instance_w, _ = _instance_response_times(state)
     response = arrays.response_per_request(sched, instance_w)
-
-    placement_vec = None
-    if not arrays.chain_has_unknown:
-        try:
-            placement_vec = arrays.placement_vector(state.placement)
-        except KeyError:
-            placement_vec = None
-        if placement_vec is not None and bool(
-            (placement_vec[arrays.chain_vnf] < 0).any()
-        ):
-            placement_vec = None
-    if placement_vec is not None:
-        hops = arrays.hops_per_request(placement_vec)
-        return float(np.sum(response + hops * link_latency))
-
-    # Scalar fallback: surfaces the legacy unplaced-VNF error.
-    total = 0.0
-    for i, request in enumerate(state.requests):
-        hops = state.inter_node_hops(request.request_id)
-        total += float(response[i]) + hops * link_latency
-    return total
+    hops = arrays.hops_per_request(placement_vec)
+    return float(np.sum(response + hops * link_latency))
 
 
 def average_total_latency(state: DeploymentState, link_latency: float) -> float:

@@ -290,17 +290,16 @@ class DeploymentState:
     # Objective ingredients
     # ------------------------------------------------------------------
     def average_node_utilization(self) -> float:
-        """Objective 1 value (Eq. 13): mean utilization over used nodes."""
+        """Objective 1 value (Eq. 13): mean utilization over used nodes.
+
+        Raises
+        ------
+        ValidationError
+            On a node missing from the capacity map or a chain VNF that
+            is unknown or unplaced.
+        """
         arrays = self.arrays()
-        try:
-            placement_vec = arrays.placement_vector(self.placement)
-        except KeyError:
-            # A VNF sits on a node with no capacity entry; the scalar
-            # path raises the legacy "unknown node" error.
-            used = self.nodes_in_service()
-            if not used:
-                return 0.0
-            return sum(self.node_utilization(v) for v in used) / len(used)
+        placement_vec = arrays.checked_placement_vector(self.placement)
         loads = arrays.node_loads(placement_vec)
         used_mask = arrays.used_node_mask(placement_vec)
         if not used_mask.any():
@@ -313,9 +312,8 @@ class DeploymentState:
         return float(utilization.sum() / used_mask.sum())
 
     def total_nodes_in_service(self) -> int:
-        """Objective value of Eq. (14)."""
-        try:
-            placement_vec = self.arrays().placement_vector(self.placement)
-        except KeyError:
-            return len(self.nodes_in_service())
-        return int(self.arrays().used_node_mask(placement_vec).sum())
+        """Objective value of Eq. (14); raises like
+        :meth:`average_node_utilization`."""
+        arrays = self.arrays()
+        placement_vec = arrays.checked_placement_vector(self.placement)
+        return int(arrays.used_node_mask(placement_vec).sum())

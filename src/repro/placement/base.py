@@ -156,22 +156,14 @@ class PlacementResult:
     # Derived state
     # ------------------------------------------------------------------
     def _placement_vector(self):
-        """Node index per VNF (``np.ndarray``), or ``None`` when a
-        placement node is absent from the capacity map (scalar fallback
-        territory)."""
-        try:
-            return self.problem.arrays().placement_vector(self.placement)
-        except KeyError:
-            return None
+        """Node index per VNF (``-1`` when unplaced).
 
-    def _node_loads_scalar(self) -> Dict[Hashable, float]:
-        loads: Dict[Hashable, float] = {}
-        for vnf in self.problem.vnfs:
-            node = self.placement.get(vnf.name)
-            if node is None:
-                continue
-            loads[node] = loads.get(node, 0.0) + vnf.total_demand
-        return loads
+        Raises
+        ------
+        ValidationError
+            If a VNF is placed on a node absent from the capacity map.
+        """
+        return self.problem.arrays().checked_placement_vector(self.placement)
 
     def node_loads(self) -> Dict[Hashable, float]:
         """Placed demand per node (zero-load nodes omitted).
@@ -180,8 +172,6 @@ class PlacementResult:
         come from one ``np.bincount`` over the columnar view.
         """
         placement_vec = self._placement_vector()
-        if placement_vec is None:
-            return self._node_loads_scalar()
         arrays = self.problem.arrays()
         loads = arrays.node_loads(placement_vec)
         result: Dict[Hashable, float] = {}
@@ -200,8 +190,6 @@ class PlacementResult:
     def num_used_nodes(self) -> int:
         """``sum_v y_v`` — the Eq. (14) objective."""
         placement_vec = self._placement_vector()
-        if placement_vec is None:
-            return len(self._node_loads_scalar())
         arrays = self.problem.arrays()
         return int(arrays.used_node_mask(placement_vec).sum())
 
@@ -209,14 +197,6 @@ class PlacementResult:
     def average_utilization(self) -> float:
         """Eq. (13): mean of per-used-node load/capacity."""
         placement_vec = self._placement_vector()
-        if placement_vec is None:
-            loads = self._node_loads_scalar()
-            if not loads:
-                return 0.0
-            total = 0.0
-            for node, load in loads.items():
-                total += load / self.problem.capacities[node]
-            return total / len(loads)
         arrays = self.problem.arrays()
         used_mask = arrays.used_node_mask(placement_vec)
         if not used_mask.any():
@@ -229,11 +209,6 @@ class PlacementResult:
     def total_occupied_capacity(self) -> float:
         """Sum of ``A_v`` over used nodes (Fig. 9's "resource occupation")."""
         placement_vec = self._placement_vector()
-        if placement_vec is None:
-            return sum(
-                self.problem.capacities[node]
-                for node in self._node_loads_scalar()
-            )
         arrays = self.problem.arrays()
         return float(
             arrays.A_v[arrays.used_node_mask(placement_vec)].sum()

@@ -110,41 +110,56 @@ class ScheduleResult:
     iterations: int = 0
     algorithm: str = ""
 
+    def instance_vector(self) -> np.ndarray:
+        """Instance index ``k`` per request, in ``problem.requests`` order.
+
+        Raises
+        ------
+        SchedulingError
+            If a request has no assignment (Eq. 5).
+        ValidationError
+            If an assigned index lies outside ``[0, M_f)`` — the error
+            :meth:`validate` raises for it.
+        """
+        m = self.problem.num_instances
+        k = np.empty(self.problem.num_requests, dtype=np.int64)
+        for i, request in enumerate(self.problem.requests):
+            kk = self.assignment.get(request.request_id)
+            if kk is None:
+                raise SchedulingError(
+                    f"request {request.request_id!r} left unassigned (Eq. 5)"
+                )
+            if not 0 <= kk < m:
+                raise ValidationError(
+                    f"request {request.request_id!r}: instance {kk} out of "
+                    f"range [0, {m})"
+                )
+            k[i] = kk
+        return k
+
     def instances(self) -> List[ServiceInstance]:
-        """Materialize the VNF's instances with their scheduled requests."""
+        """Materialize the VNF's instances with their scheduled requests.
+
+        Raises like :meth:`instance_vector`.
+        """
         table = [
             ServiceInstance(vnf=self.problem.vnf, index=k)
             for k in range(self.problem.num_instances)
         ]
-        for request in self.problem.requests:
-            k = self.assignment.get(request.request_id)
-            if k is None:
-                raise SchedulingError(
-                    f"request {request.request_id!r} left unassigned (Eq. 5)"
-                )
+        for request, k in zip(self.problem.requests, self.instance_vector()):
             table[k].assign(request)
         return table
 
     def instance_rates(self) -> List[float]:
         """Per-instance equivalent arrival rates ``Lambda_k^f`` (Eq. 7).
 
-        One ``np.bincount`` over the columnar request table; degenerate
-        assignments (missing or out-of-range ``k``) drop to the object
-        path so its legacy errors surface unchanged.
+        One ``np.bincount`` over the columnar request table; raises like
+        :meth:`instance_vector`.
         """
-        m = self.problem.num_instances
-        k = np.fromiter(
-            (
-                self.assignment.get(r.request_id, -1)
-                for r in self.problem.requests
-            ),
-            dtype=np.int64,
-            count=self.problem.num_requests,
-        )
-        if ((k < 0) | (k >= m)).any():
-            return [inst.equivalent_arrival_rate for inst in self.instances()]
         rates = np.bincount(
-            k, weights=self.problem.arrays().eff_rate, minlength=m
+            self.instance_vector(),
+            weights=self.problem.arrays().eff_rate,
+            minlength=self.problem.num_instances,
         )
         return [float(rate) for rate in rates]
 

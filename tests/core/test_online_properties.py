@@ -1,10 +1,10 @@
-"""Property-based tests for the online scheduler (hypothesis)."""
+"""Property-based tests for single-VNF churn on the engine (hypothesis)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.online import OnlineScheduler
+from repro.core.incremental import DeploymentEngine
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF
@@ -24,10 +24,18 @@ instances_strategy = st.integers(min_value=1, max_value=6)
 rebalance_strategy = st.integers(min_value=0, max_value=7)
 
 
+def _spread(engine):
+    loads = engine.instance_loads()
+    return float(loads.max() - loads.min())
+
+
 def _drive(events, num_instances, rebalance_every):
-    """Replay an event script; returns (scheduler, active request map)."""
+    """Replay an event script, rebalancing every ``rebalance_every``
+    arrivals (never when 0); returns (engine, active request map)."""
     vnf = VNF("fw", 1.0, num_instances, 1e6)
-    scheduler = OnlineScheduler(vnf, rebalance_every=rebalance_every)
+    engine = DeploymentEngine(
+        [vnf], {"node0": vnf.total_demand}, target_utilization=None
+    )
     active = {}
     counter = 0
     for is_arrival, x in events:
@@ -35,13 +43,15 @@ def _drive(events, num_instances, rebalance_every):
             rid = f"r{counter}"
             counter += 1
             request = Request(rid, CHAIN, 1.0 + 99.0 * x)
-            scheduler.arrive(request)
+            assert engine.admit(request).admitted
             active[rid] = request
+            if rebalance_every and counter % rebalance_every == 0:
+                engine.rebalance()
         else:
             victim = sorted(active)[int(x * len(active))]
-            scheduler.depart(victim)
+            engine.depart(victim)
             del active[victim]
-    return scheduler, active
+    return engine, active
 
 
 @given(
@@ -52,11 +62,11 @@ def _drive(events, num_instances, rebalance_every):
 @settings(max_examples=40, deadline=None)
 def test_loads_always_equal_assigned_rates(events, instances, rebalance):
     """Invariant: tracked loads == sum of active requests per instance."""
-    scheduler, active = _drive(events, instances, rebalance)
+    engine, active = _drive(events, instances, rebalance)
     expected = [0.0] * instances
     for rid, request in active.items():
-        expected[scheduler.assignment_of(rid)] += request.effective_rate
-    for tracked, recomputed in zip(scheduler.instance_rates(), expected):
+        expected[engine.assignment_of(rid)["fw"]] += request.effective_rate
+    for tracked, recomputed in zip(engine.instance_loads(), expected):
         assert tracked == pytest.approx(recomputed, abs=1e-9)
 
 
@@ -67,14 +77,15 @@ def test_loads_always_equal_assigned_rates(events, instances, rebalance):
 )
 @settings(max_examples=40, deadline=None)
 def test_active_count_consistent(events, instances, rebalance):
-    scheduler, active = _drive(events, instances, rebalance)
-    assert scheduler.active_requests == len(active)
+    engine, active = _drive(events, instances, rebalance)
+    assert engine.num_active == len(active)
+    assert set(engine.active_requests) == set(active)
 
 
 @given(events=events_strategy, instances=instances_strategy)
 @settings(max_examples=30, deadline=None)
 def test_rebalance_never_increases_spread(events, instances):
-    scheduler, _ = _drive(events, instances, rebalance_every=0)
-    before = scheduler.spread()
-    scheduler.rebalance()
-    assert scheduler.spread() <= before + 1e-9
+    engine, _ = _drive(events, instances, rebalance_every=0)
+    before = _spread(engine)
+    engine.rebalance()
+    assert _spread(engine) <= before + 1e-9

@@ -3,7 +3,8 @@
 Mirrors ``tests/core/test_metric_parity.py`` for the topology-aware
 evaluation path: :func:`total_latency_on_topology` (one gather from the
 precomputed compute-pair latency matrix) must agree with
-:func:`total_latency_on_topology_scalar` (per-request Router walk) to
+``reference_total_latency_on_topology`` (the per-request Router walk
+kept in ``benchmarks/_reference_impl.py``) to
 1e-9 relative on solved scenarios across the default seed plus ten
 derived seeds, and :func:`evaluate_deployment(topology=...)
 <repro.core.evaluation.evaluate_deployment>` must report the same
@@ -13,21 +14,23 @@ total.
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.evaluation import evaluate_deployment
-from repro.core.joint import JointOptimizer
-from repro.core.topology_eval import (
-    total_latency_on_topology,
-    total_latency_on_topology_scalar,
-)
-from repro.nfv.request import Request
-from repro.scheduling.least_loaded import LeastLoadedScheduler
-from repro.seeding import DEFAULT_SEED, derive_seed
-from repro.topology.random_topology import random_datacenter
-from repro.workload.generator import WorkloadGenerator
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from _reference_impl import reference_total_latency_on_topology  # noqa: E402
+from repro.core.evaluation import evaluate_deployment  # noqa: E402
+from repro.core.joint import JointOptimizer  # noqa: E402
+from repro.core.topology_eval import total_latency_on_topology  # noqa: E402
+from repro.nfv.request import Request  # noqa: E402
+from repro.scheduling.least_loaded import LeastLoadedScheduler  # noqa: E402
+from repro.seeding import DEFAULT_SEED, derive_seed  # noqa: E402
+from repro.topology.random_topology import random_datacenter  # noqa: E402
+from repro.workload.generator import WorkloadGenerator  # noqa: E402
 
 RTOL = 1e-9
 
@@ -89,7 +92,7 @@ class TestTopologyEq16Parity:
     def test_total_latency_matches_router_walk(self, seed):
         state, topo = _solved(seed)
         vec = total_latency_on_topology(state, topo)
-        ref = total_latency_on_topology_scalar(state, topo)
+        ref = reference_total_latency_on_topology(state, topo)
         assert math.isfinite(ref)
         assert _close(vec, ref)
 
@@ -100,7 +103,7 @@ class TestTopologyEq16Parity:
         )
         assert _close(
             report.total_latency,
-            total_latency_on_topology_scalar(state, topo),
+            reference_total_latency_on_topology(state, topo),
         )
 
 
@@ -108,7 +111,7 @@ class TestDegenerateAgreement:
     def test_unstable_state_is_inf_on_both_paths(self):
         state, topo = _solved(SEEDS[1], stable=False)
         vec = total_latency_on_topology(state, topo)
-        ref = total_latency_on_topology_scalar(state, topo)
+        ref = reference_total_latency_on_topology(state, topo)
         # Either both finite or both +inf — the unstable draw depends on
         # the seed, agreement does not.
         assert _close(vec, ref)

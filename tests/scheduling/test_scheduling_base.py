@@ -11,6 +11,7 @@ from repro.scheduling.base import (
     ScheduleResult,
     schedule_all_vnfs,
 )
+from repro.scheduling.metrics import schedule_report
 from repro.scheduling.rckk import RCKKScheduler
 
 
@@ -113,6 +114,32 @@ class TestResult:
         result = ScheduleResult(assignment={}, problem=problem)
         with pytest.raises(SchedulingError):
             result.instances()
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            ScheduleResult.instances,
+            ScheduleResult.instance_rates,
+            schedule_report,
+            lambda result: schedule_report(result, apply_admission=True),
+        ],
+        ids=["instances", "instance_rates", "report", "report_admission"],
+    )
+    @pytest.mark.parametrize("k", [-1, 2], ids=["negative", "past_end"])
+    def test_out_of_range_instance_raises_validate_error(
+        self, vnf, chain, metric, k
+    ):
+        # A negative index must not wrap onto the last instance, and
+        # k >= M_f must not surface as a bare IndexError.
+        problem = SchedulingProblem(
+            vnf=vnf, requests=_requests(chain, [1.0, 2.0])
+        )
+        result = ScheduleResult(assignment={"r0": k, "r1": 0}, problem=problem)
+        message = rf"request 'r0': instance {k} out of range \[0, 2\)"
+        with pytest.raises(ValidationError, match=message):
+            result.validate()
+        with pytest.raises(ValidationError, match=message):
+            metric(result)
 
 
 class TestScheduleAllVnfs:
