@@ -60,6 +60,7 @@ from repro.core.admission import (
 )
 from repro.core.arrays import ScenarioArrays
 from repro.core.deltas import FIT_EPS
+from repro.core.joint import _distinct_chains
 from repro.exceptions import InfeasiblePlacementError, SchedulingError
 from repro.nfv.request import Request
 from repro.nfv.state import DeploymentState
@@ -86,18 +87,6 @@ __all__ = [
 def _fresh_rng(seed: Optional[int]) -> np.random.Generator:
     """The engine's seed policy: one fixed seed, fresh stream per solve."""
     return np.random.default_rng(DEFAULT_SEED if seed is None else int(seed))
-
-
-def _distinct_chains(requests: Sequence[Request]) -> tuple:
-    """Distinct service chains in first-seen order (JointOptimizer's rule)."""
-    seen = set()
-    chains = []
-    for request in requests:
-        key = request.chain.vnf_names
-        if key not in seen:
-            seen.add(key)
-            chains.append(request.chain)
-    return tuple(chains)
 
 
 def solve_joint(

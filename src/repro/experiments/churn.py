@@ -16,12 +16,16 @@ admission rule (Eq. (9) utilization cap at the
   rejected when the re-solved schedule would push some instance past
   the utilization cap.
 
-Reported per policy: mean re-embedding latency per arrival (wall-clock
-ms), migrations (assignment changes an operator would have to enact),
-and the rejection rate.  A separate ``probe_2k`` row prices one
-warm-start admit against one from-scratch joint solve at 2000 active
-requests — the incremental path must be >= 50x faster (asserted by
-``tests/experiments/test_churn.py``).
+Reported per policy: migrations (assignment changes an operator would
+have to enact) and the rejection rate.  A separate ``probe_2k`` row
+prices one warm-start admit against one from-scratch joint solve at
+2000 active requests — the incremental path must be >= 50x faster
+(asserted by ``tests/experiments/test_churn.py``).  The wall-clock
+figures (mean re-embedding latency per arrival, speedup over the
+re-solve, the probe's admit/resolve times) go to
+``result.meta["timings"]``: they travel through ``to_dict`` /
+``--json`` but not through :meth:`ExperimentResult.render`, so the
+rendered report is identical on every run of the same tree.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ MEAN_HOLDING = 800.0
 REBALANCE_EVERY = 25
 #: Active population of the admit-vs-resolve pricing probe.
 PROBE_ACTIVE = 2000
+#: Acceptance floor of the probe: admit must be this many times faster.
+PROBE_FLOOR = 50.0
 
 
 def _scenario(ss: np.random.SeedSequence):
@@ -247,31 +253,30 @@ def run(
     result = ExperimentResult(
         experiment_id="churn",
         title="Incremental serving vs per-arrival full re-solve",
-        columns=[
-            "variant",
-            "re_embed_ms",
-            "migrations",
-            "rejection_rate",
-            "speedup_vs_resolve",
-        ],
+        columns=["variant", "migrations", "rejection_rate"],
     )
     resolve_ms = float(np.mean(acc["full-resolve"]["re_embed_ms"]))
+    timings: Dict[str, Dict[str, float]] = {}
     for variant in variants:
         mean_ms = float(np.mean(acc[variant]["re_embed_ms"]))
+        timings[variant] = {
+            "re_embed_ms": mean_ms,
+            "speedup_vs_resolve": resolve_ms / mean_ms if mean_ms else 0.0,
+        }
         result.add_row(
             variant=variant,
-            re_embed_ms=mean_ms,
             migrations=float(np.mean(acc[variant]["migrations"])),
             rejection_rate=float(np.mean(acc[variant]["rejection_rate"])),
-            speedup_vs_resolve=resolve_ms / mean_ms if mean_ms else 0.0,
         )
-    result.add_row(
-        variant="probe_2k",
-        re_embed_ms=probe["admit_ms"],
-        migrations=0.0,
-        rejection_rate=0.0,
-        speedup_vs_resolve=probe["speedup"],
-    )
+    timings["probe_2k"] = {
+        "re_embed_ms": probe["admit_ms"],
+        "resolve_ms": probe["resolve_ms"],
+        "speedup_vs_resolve": probe["speedup"],
+    }
+    result.add_row(variant="probe_2k", migrations=0.0, rejection_rate=0.0)
+    # Wall-clock figures vary run to run, so they travel in meta (and
+    # --json) but stay out of the rendered report.
+    result.meta["timings"] = timings
     result.notes.append(
         f"{DURATION / 3600:.0f}h simulated Poisson churn, lambda="
         f"{ARRIVAL_RATE}/s, mean holding {MEAN_HOLDING:.0f}s (~"
@@ -279,16 +284,17 @@ def run(
         f"incremental rebalances every {REBALANCE_EVERY} admits"
     )
     result.notes.append(
-        "re_embed_ms: wall-clock per arrival decision (warm-start admit "
-        "vs from-scratch two-phase solve); migrations: placement moves "
-        "+ schedule reassignments; the naive policy re-solves on "
-        "arrivals only (departures retract bookkeeping lazily)"
+        "migrations: placement moves + schedule reassignments; the naive "
+        "policy re-solves on arrivals only (departures retract "
+        "bookkeeping lazily); wall-clock re_embed_ms per arrival "
+        "decision and speedup_vs_resolve are in meta['timings'] "
+        "(--json)"
     )
+    floor_met = probe["speedup"] >= PROBE_FLOOR
     result.notes.append(
         f"probe_2k: one admit vs one batch solve at {PROBE_ACTIVE} "
-        f"active requests — measured speedup {probe['speedup']:.0f}x "
-        f"(acceptance floor 50x), resolve {probe['resolve_ms']:.1f}ms "
-        f"vs admit {probe['admit_ms'] * 1e3:.1f}us"
+        f"active requests — {PROBE_FLOOR:.0f}x acceptance floor "
+        f"{'met' if floor_met else 'MISSED'}"
     )
     if admission != "least-loaded":
         result.notes.append(

@@ -24,15 +24,18 @@ Serial fallback
 ---------------
 Process pools need picklable trial functions and payloads.  When the
 function or first task fails a pickling probe — closures, locally
-defined functions, live generators in the payload — or when the
-platform refuses to start worker processes, the engine degrades to the
-serial path, which computes the identical result (only slower).
+defined functions, live generators in the payload — when the platform
+refuses to start worker processes, or when the pool breaks mid-run,
+the engine recomputes on the serial path, which gives the identical
+result (only slower), and says so with a :class:`RuntimeWarning`
+naming the reason.  ``jobs=1`` never warns.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, TypeVar
@@ -56,14 +59,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return int(jobs)
 
 
-def _is_picklable(fn: Callable, probe_task: object) -> bool:
-    try:
-        pickle.dumps((fn, probe_task))
-        return True
-    except Exception:
-        return False
-
-
 def compute_chunksize(num_tasks: int, workers: int) -> int:
     """Tasks per pool submission: ~4 chunks per worker, at least 1.
 
@@ -83,26 +78,20 @@ def _run_chunk(fn: Callable[[Task], Result], chunk: Sequence[Task]) -> List[Resu
     return [fn(task) for task in chunk]
 
 
-def _run_chunk_shared(
-    fn: Callable, chunk: Sequence[Task], handle
+def _serial_fallback(
+    fn: Callable[[Task], Result], task_list: List[Task], reason: str
 ) -> List[Result]:
-    """Worker-side driver for shared-scenario trials.
-
-    Attaches to the published columns (cached per process, so every
-    chunk after the first is free) and passes the scenario as the trial
-    function's second argument.
-    """
-    from repro.experiments.shm import attach_arrays
-
-    arrays = attach_arrays(handle)
-    return [fn(task, arrays) for task in chunk]
+    """Recompute serially after a pool failure, saying why."""
+    warnings.warn(
+        f"{reason}; running trials serially", RuntimeWarning, stacklevel=3
+    )
+    return [fn(task) for task in task_list]
 
 
 def run_trials(
-    fn: Callable[..., Result],
+    fn: Callable[[Task], Result],
     tasks: Sequence[Task],
     jobs: Optional[int] = 1,
-    shared=None,
 ) -> List[Result]:
     """Run ``fn`` over ``tasks``; results come back in task order.
 
@@ -115,59 +104,39 @@ def run_trials(
         Trial payloads; each must be picklable for parallel execution.
     jobs:
         Worker processes.  ``1`` runs serially in-process; ``0`` or
-        ``None`` auto-detects; any value degrades gracefully to serial
-        when the pool cannot be used.
-    shared:
-        Optional scenario shared by every trial: a
-        :class:`~repro.core.arrays.ScenarioArrays` (published/released
-        automatically around the run) or an already-published
-        :class:`~repro.experiments.shm.SharedScenarioHandle` (caller
-        owns the lifetime).  When given, ``fn`` is called as
-        ``fn(task, arrays)`` — workers attach to the published columns
-        zero-copy instead of re-pickling the scenario per chunk, and
-        results stay byte-identical to the serial path at any ``jobs``
-        (see :mod:`repro.experiments.shm`).
+        ``None`` auto-detects; when the pool cannot be used the run
+        falls back to serial with a :class:`RuntimeWarning`.
 
     Raises
     ------
     Whatever ``fn`` raises — trial exceptions propagate unchanged on
     both paths (they are not converted into fallbacks).
     """
-    if shared is None:
-        return _run_trials_plain(fn, tasks, jobs)
-    from repro.core.arrays import ScenarioArrays
-    from repro.experiments.shm import SharedScenarioHandle, published
-
-    if isinstance(shared, SharedScenarioHandle):
-        return _run_trials_shared(fn, tasks, jobs, shared)
-    if not isinstance(shared, ScenarioArrays):
-        raise ConfigurationError(
-            f"shared must be a ScenarioArrays or SharedScenarioHandle, "
-            f"got {type(shared).__name__}"
-        )
-    with published(shared) as handle:
-        return _run_trials_shared(fn, tasks, jobs, handle)
-
-
-def _run_trials_plain(
-    fn: Callable[[Task], Result],
-    tasks: Sequence[Task],
-    jobs: Optional[int],
-) -> List[Result]:
     task_list = list(tasks)
     workers = resolve_jobs(jobs)
     if task_list:
         workers = min(workers, len(task_list))
     if workers <= 1 or len(task_list) <= 1:
         return [fn(task) for task in task_list]
-    if not _is_picklable(fn, task_list[0]):
-        return [fn(task) for task in task_list]
+    try:
+        pickle.dumps((fn, task_list[0]))
+    except Exception as exc:
+        return _serial_fallback(
+            fn,
+            task_list,
+            f"trial function or payload is not picklable "
+            f"({type(exc).__name__}: {exc})",
+        )
     try:
         executor = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError, PermissionError):
+    except (OSError, ValueError, PermissionError) as exc:
         # Platforms without working process pools (no /dev/shm, seccomp
         # sandboxes, ...) still get the identical serial computation.
-        return [fn(task) for task in task_list]
+        return _serial_fallback(
+            fn,
+            task_list,
+            f"trial workers failed to start ({type(exc).__name__}: {exc})",
+        )
     try:
         with executor:
             # Chunked submit + index map rather than executor.map: the
@@ -189,55 +158,8 @@ def _run_trials_plain(
                 chunk_results = future.result()
                 results[start : start + len(chunk_results)] = chunk_results
             return results  # type: ignore[return-value]
-    except BrokenProcessPool:
+    except BrokenProcessPool as exc:
         # Workers were killed (OOM, sandbox) — recompute serially.
-        return [fn(task) for task in task_list]
-
-
-def _run_trials_shared(
-    fn: Callable, tasks: Sequence[Task], jobs: Optional[int], handle
-) -> List[Result]:
-    """The ``shared=`` twin of :func:`_run_trials_plain`.
-
-    Serial paths attach in-process (which returns the published
-    original, so nothing is copied); pool paths ship only the tiny
-    handle per chunk.
-    """
-    from repro.experiments.shm import attach_arrays
-
-    task_list = list(tasks)
-    workers = resolve_jobs(jobs)
-    if task_list:
-        workers = min(workers, len(task_list))
-
-    def _serial() -> List[Result]:
-        arrays = attach_arrays(handle)
-        return [fn(task, arrays) for task in task_list]
-
-    if workers <= 1 or len(task_list) <= 1:
-        return _serial()
-    if not _is_picklable(fn, task_list[0]):
-        return _serial()
-    try:
-        executor = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError, PermissionError):
-        return _serial()
-    try:
-        with executor:
-            chunksize = compute_chunksize(len(task_list), workers)
-            chunks = [
-                task_list[start : start + chunksize]
-                for start in range(0, len(task_list), chunksize)
-            ]
-            futures = {
-                executor.submit(_run_chunk_shared, fn, chunk, handle): index
-                for index, chunk in enumerate(chunks)
-            }
-            results: List[Optional[Result]] = [None] * len(task_list)
-            for future in futures:
-                start = futures[future] * chunksize
-                chunk_results = future.result()
-                results[start : start + len(chunk_results)] = chunk_results
-            return results  # type: ignore[return-value]
-    except BrokenProcessPool:
-        return _serial()
+        return _serial_fallback(
+            fn, task_list, f"trial worker pool broke ({exc})"
+        )

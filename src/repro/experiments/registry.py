@@ -40,7 +40,7 @@ PROFILES = ("placement", "scheduling", "tail", "joint", "analytic", "headline")
 
 #: Package-infrastructure modules that do not register experiments.
 INFRASTRUCTURE_MODULES = frozenset(
-    {"harness", "sweeps", "registry", "montecarlo", "runall", "shm"}
+    {"harness", "sweeps", "registry", "montecarlo", "runall"}
 )
 
 

@@ -14,12 +14,13 @@ index-form schedule, row-for-row identical to the dict route
 * the dict route emits rows grouped by VNF (in VNF order) with each
   group in user-list order — exactly the CSR traversal order here.
 
-The per-policy assignment kernels mirror their object twins exactly:
-:func:`least_loaded_assign` replays ``LeastLoadedScheduler``'s heap
-(same float64 arithmetic, same ``(load, k)`` tie-break) and
-:func:`round_robin_assign` is the closed form ``i mod m``.  RCKK/CGA
-stay object-only — their partition search is not worth replicating at
-a scale where join-the-least-loaded is already within Eq. (15) noise.
+The per-policy assignment kernels are also what the object schedulers
+run: ``LeastLoadedScheduler`` calls :func:`least_loaded_assign` (a
+heap with the ``(load, k)`` tie-break) and ``RoundRobinScheduler``
+calls :func:`round_robin_assign` (the closed form ``i mod m``), so the
+two paths cannot drift apart.  RCKK/CGA stay object-only — their
+partition search is not worth replicating at a scale where
+join-the-least-loaded is already within Eq. (15) noise.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ AssignKernel = Callable[[Sequence[float], int], np.ndarray]
 def least_loaded_assign(rates: Sequence[float], m: int) -> np.ndarray:
     """Join-the-least-loaded instance index per request, in order.
 
-    Bit-exact replay of ``LeastLoadedScheduler.schedule``: a heap of
+    The kernel behind ``LeastLoadedScheduler.schedule``: a heap of
     ``(aggregate load, k)`` pairs, each request joining the minimum and
     pushing back ``load + rate`` — Python-float arithmetic and the
-    ``(load, k)`` lexicographic tie-break included, so the object and
-    column paths agree even when accumulated loads collide exactly.
+    ``(load, k)`` lexicographic tie-break included, so ties resolve to
+    the lowest instance index even when accumulated loads collide
+    exactly.
     """
     if m < 1:
         raise SchedulingError(f"need at least one instance, got {m}")

@@ -9,7 +9,6 @@ solution quality and serves as an online-policy reference.
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional
 
 import numpy as np
@@ -19,6 +18,7 @@ from repro.scheduling.base import (
     SchedulingProblem,
     ScheduleResult,
 )
+from repro.scheduling.kernels import least_loaded_assign
 
 
 def least_loaded_admit(
@@ -34,7 +34,8 @@ def least_loaded_admit(
     instance-load vector:
 
     * the least-loaded instance wins, first index on ties
-      (``np.argmin``), matching the heap tie-break above and the
+      (``np.argmin``), matching the ``(load, k)`` heap tie-break of
+      :func:`~repro.scheduling.kernels.least_loaded_assign` and the
       legacy scalar ``min(..., key=(load, index))``;
     * with ``capacity`` given, the join is admitted only if the winner
       stays within ``capacity + fit_eps`` (the Eq. (6) slack
@@ -58,13 +59,14 @@ class LeastLoadedScheduler(SchedulingAlgorithm):
     name = "LeastLoaded"
 
     def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
-        heap = [(0.0, k) for k in range(problem.num_instances)]
-        heapq.heapify(heap)
-        assignment = {}
-        for request in problem.requests:
-            load, k = heapq.heappop(heap)
-            assignment[request.request_id] = k
-            heapq.heappush(heap, (load + request.effective_rate, k))
+        ks = least_loaded_assign(
+            [request.effective_rate for request in problem.requests],
+            problem.num_instances,
+        )
+        assignment = {
+            request.request_id: k
+            for request, k in zip(problem.requests, ks.tolist())
+        }
         result = ScheduleResult(
             assignment=assignment,
             problem=problem,

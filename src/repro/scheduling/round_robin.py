@@ -13,6 +13,7 @@ from repro.scheduling.base import (
     SchedulingProblem,
     ScheduleResult,
 )
+from repro.scheduling.kernels import round_robin_assign
 
 
 class RoundRobinScheduler(SchedulingAlgorithm):
@@ -21,10 +22,13 @@ class RoundRobinScheduler(SchedulingAlgorithm):
     name = "RoundRobin"
 
     def schedule(self, problem: SchedulingProblem) -> ScheduleResult:
-        m = problem.num_instances
+        ks = round_robin_assign(
+            [request.effective_rate for request in problem.requests],
+            problem.num_instances,
+        )
         assignment = {
-            request.request_id: i % m
-            for i, request in enumerate(problem.requests)
+            request.request_id: k
+            for request, k in zip(problem.requests, ks.tolist())
         }
         result = ScheduleResult(
             assignment=assignment,

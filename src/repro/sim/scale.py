@@ -29,7 +29,7 @@ The instance axis is partitioned once per run by a deterministic
 :class:`~repro.sim.shard.ScaleShardPlan` (independent of the worker
 count); each shard sweeps its instances with a private history and
 private RNG streams, either in-process or on worker processes that
-attach the scenario via :mod:`repro.experiments.shm` snapshots.  The
+attach the scenario via :mod:`repro.sim.shm` snapshots.  The
 merged output is **byte-identical at any** ``jobs`` for the same seed
 — see :mod:`repro.sim.shard` for the contract and docs/SCALE.md for
 the operational guide.

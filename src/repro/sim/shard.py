@@ -14,7 +14,7 @@ partition of the instances.  This module owns that decomposition:
   departure-frontier history, visit log, and causal/measurement RNG
   streams;
 * the executors — a serial loop and a process pool whose workers
-  attach the scenario via :func:`repro.experiments.shm.publish_arrays`
+  attach the scenario via :func:`repro.sim.shm.publish_arrays`
   / ``attach_arrays`` snapshots and exchange per-level batches through
   one shared-memory scratch block (no column pickling);
 * :func:`merge_shard_measurements` — the deterministic reduction of
@@ -62,6 +62,7 @@ import numpy as np
 from repro.core.arrays import ScenarioArrays, ScheduleArrays
 from repro.exceptions import SimulationError, ValidationError
 from repro.sim.kernels import segmented_lindley, segmented_maximum_accumulate
+from repro.sim.shm import attach_arrays, publish_arrays, unpublish_arrays
 
 __all__ = [
     "DEFAULT_NUM_SHARDS",
@@ -433,8 +434,6 @@ def _shard_worker(
     try:
         from multiprocessing import shared_memory
 
-        from repro.experiments.shm import attach_arrays
-
         arrays = attach_arrays(handle)
         mu = arrays.mu_inst.astype(np.float64, copy=False)
         num_instances = int(arrays.num_instances)
@@ -502,7 +501,7 @@ class _ProcessShardExecutor:
     writes the partitioned batch once, sends each worker its shard
     segment offsets, and reads the departure lane back after the acks.
     The scenario itself is attached zero-copy from a
-    :func:`~repro.experiments.shm.publish_arrays` snapshot.
+    :func:`~repro.sim.shm.publish_arrays` snapshot.
     """
 
     def __init__(
@@ -518,8 +517,6 @@ class _ProcessShardExecutor:
     ) -> None:
         import multiprocessing
         from multiprocessing import shared_memory
-
-        from repro.experiments.shm import publish_arrays
 
         self._procs: List[object] = []
         self._conns: List[object] = []
@@ -625,8 +622,6 @@ class _ProcessShardExecutor:
         return tagged
 
     def close(self) -> None:
-        from repro.experiments.shm import unpublish_arrays
-
         for conn in self._conns:
             try:
                 conn.send(("close",))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,6 +16,29 @@ settings.load_profile("repro")
 from repro.nfv.chain import ServiceChain
 from repro.nfv.request import Request
 from repro.nfv.vnf import VNF, VNFCategory
+
+
+def _shm_segments() -> set:
+    """This process's published scenario blocks (``repro.sim.shm``)."""
+    prefix = f"repro_{os.getpid()}_"
+    return {name for name in os.listdir("/dev/shm") if name.startswith(prefix)}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def shm_leak_guard():
+    """Fail the session if it leaves scenario blocks in ``/dev/shm``.
+
+    Every ``publish_arrays`` must be paired with ``unpublish_arrays`` on
+    every exit path; an orphaned block outlives the process.
+    """
+    if not os.path.isdir("/dev/shm"):
+        yield
+        return
+    before = _shm_segments()
+    yield
+    leaked = sorted(_shm_segments() - before)
+    if leaked:
+        pytest.fail(f"shared-memory segments leaked by the suite: {leaked}")
 
 
 @pytest.fixture

@@ -1,22 +1,14 @@
-"""Fig. 7 shared-memory parity — pooled columns must not move a bit.
+"""Fig. 7 parity — the rows must not move a bit at any ``jobs``.
 
-``fig07.run(shared=True)`` builds every problem instance once in the
-parent, pools the VNF/node columns into one ``ScenarioArrays`` and
-ships them to workers via ``run_trials(shared=...)``; the rows must be
-byte-identical to the per-trial construction path at any ``jobs``.
+Every trial builds its own problem instance from the sweep point's
+scenario, so a process pool must reproduce the serial rows exactly.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ConfigurationError
 from repro.experiments import fig07
-from repro.experiments.sweeps import (
-    default_placement_algorithms,
-    placement_sweep,
-)
-from repro.workload.scenarios import PlacementScenario
 
 
 @pytest.fixture(scope="module")
@@ -25,42 +17,10 @@ def default_rows():
 
 
 class TestSharedParity:
-    def test_shared_rows_byte_identical(self, default_rows):
-        shared = fig07.run(repetitions=2, shared=True).rows
-        assert shared == default_rows
-
     def test_shared_parallel_rows_byte_identical(self, default_rows):
-        shared = fig07.run(repetitions=2, shared=True, jobs=3).rows
-        assert shared == default_rows
+        assert fig07.run(repetitions=2, jobs=3).rows == default_rows
 
     def test_shape(self, default_rows):
         assert len(default_rows) == len(fig07.NODE_COUNTS) * 3
         algorithms = {row["algorithm"] for row in default_rows}
         assert algorithms == {"BFDSU", "FFD", "NAH"}
-
-
-class TestPlacementSweepShared:
-    def _scenarios(self):
-        return [
-            (10, PlacementScenario(num_vnfs=8, num_nodes=6, seed=1)),
-            (20, PlacementScenario(num_vnfs=8, num_nodes=6, seed=2)),
-        ]
-
-    def test_parity_against_default_path(self):
-        default = placement_sweep(
-            self._scenarios(), repetitions=2, seed=0
-        )
-        shared = placement_sweep(
-            self._scenarios(), repetitions=2, seed=0, shared=True
-        )
-        assert shared == default
-
-    def test_explicit_algorithms_refused(self):
-        with pytest.raises(ConfigurationError, match="shared=True"):
-            placement_sweep(
-                self._scenarios(),
-                repetitions=1,
-                seed=0,
-                algorithms=default_placement_algorithms(seed=0),
-                shared=True,
-            )

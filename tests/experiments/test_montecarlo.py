@@ -1,8 +1,11 @@
 """Tests for the shared Monte-Carlo execution engine."""
 
+import warnings
+
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.experiments import montecarlo
 from repro.experiments.montecarlo import (
     compute_chunksize,
     resolve_jobs,
@@ -58,7 +61,25 @@ class TestRunTrials:
     def test_non_picklable_fn_falls_back_to_serial(self):
         offset = 10
         closure = lambda task: task + offset  # noqa: E731
-        assert run_trials(closure, [1, 2, 3], jobs=4) == [11, 12, 13]
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            assert run_trials(closure, [1, 2, 3], jobs=4) == [11, 12, 13]
+
+    def test_pool_start_failure_warns_and_runs_serially(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("no process pools here")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", refuse)
+        tasks = [(123, i) for i in range(6)]
+        with pytest.warns(RuntimeWarning, match="no process pools here"):
+            got = run_trials(_seeded_draw, tasks, jobs=3)
+        assert got == [_seeded_draw(task) for task in tasks]
+
+    def test_serial_run_never_warns(self):
+        offset = 10
+        closure = lambda task: task + offset  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_trials(closure, [1, 2, 3], jobs=1) == [11, 12, 13]
 
     def test_trial_exception_propagates_serial(self):
         with pytest.raises(ValueError, match="boom"):

@@ -287,3 +287,20 @@ class TestMergeOrderInvariance:
         merged = merge_shard_measurements(shuffled, generated, num_instances)
         for a, b in zip(baseline, merged):
             np.testing.assert_array_equal(a, b)
+
+    def test_shared_memory_unavailable_warns_and_runs_serially(
+        self, monkeypatch
+    ):
+        # No POSIX shared memory: publishing the scenario snapshot
+        # fails, the executor falls back to serial and says so, and the
+        # output does not move a bit.
+        def no_shm(*args, **kwargs):
+            raise OSError("no /dev/shm")
+
+        arrays, sched = build_case(DEFAULT_SEED, num_requests=120)
+        cfg = SimulationConfig(duration=0.8, warmup=0.05, seed=DEFAULT_SEED)
+        base = simulate_columns(arrays, sched, cfg, jobs=1)
+        monkeypatch.setattr(shard, "publish_arrays", no_shm)
+        with pytest.warns(RuntimeWarning, match="no /dev/shm"):
+            fallback = simulate_columns(arrays, sched, cfg, jobs=2)
+        assert_metrics_identical(base, fallback, "no shm: ")
